@@ -115,13 +115,9 @@ func parseStrategy(s string) (core.Strategy, error) {
 	return 0, fmt.Errorf("unknown strategy %q (want rtc, full or no)", s)
 }
 
-func printResult(q string, res *pairs.Set, limit int) {
+func printResult(q string, res *pairs.Relation, limit int) {
 	fmt.Printf("query %s: %d pairs\n", q, res.Len())
-	sorted := res.Sorted()
-	if limit > 0 && len(sorted) > limit {
-		sorted = sorted[:limit]
-	}
-	for _, p := range sorted {
+	for _, p := range res.Page(0, limit) {
 		fmt.Printf("  (%d, %d)\n", p.Src, p.Dst)
 	}
 	if limit > 0 && res.Len() > limit {

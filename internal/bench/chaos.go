@@ -432,7 +432,7 @@ func RunChaosExperiment(cfg RunConfig) (*ChaosSweep, error) {
 			continue
 		}
 		for q, got := range observed[epoch] {
-			rel, err := oracle.EvaluateRel(rpq.MustParse(q))
+			rel, err := oracle.Evaluate(rpq.MustParse(q))
 			if err != nil {
 				return nil, fmt.Errorf("oracle %s at epoch %d: %w", q, epoch, err)
 			}

@@ -145,11 +145,10 @@ func mix(x uint64) uint64 {
 
 // runLayoutBatch evaluates the batch on a fresh engine of the given
 // configuration and returns total result pairs plus the engine's shared
-// total. Each executor delivers results in its *native* sealed form —
-// the map pipeline a pairs.Set (Evaluate), the columnar pipeline a
-// pairs.Relation (EvaluateRel) — so neither pays a conversion the other
-// layout's consumers would not: the experiment measures the data
-// planes, not an adapter.
+// total. Both executors deliver the public result, a sealed
+// pairs.Relation: the columnar pipeline hands over its own, the map
+// pipeline seals its final set once — the one conversion the baseline
+// pays to meet the API.
 //
 // With fingerprint set, the run also folds every result pair into a
 // per-query, order-independent checksum (a commutative sum of mixed
@@ -168,24 +167,13 @@ func runLayoutBatch(g *graph.Graph, batch []rpq.Expr, lc layoutConfig, fingerpri
 			fp += mix(qiHash ^ (uint64(uint32(src))<<32 | uint64(uint32(dst))))
 			return true
 		}
-		if lc.layout == core.LayoutColumnar {
-			res, evalErr := engine.EvaluateRel(q)
-			if evalErr != nil {
-				return 0, 0, 0, evalErr
-			}
-			resultPairs += res.Len()
-			if fingerprint {
-				res.Each(addPair)
-			}
-		} else {
-			res, evalErr := engine.Evaluate(q)
-			if evalErr != nil {
-				return 0, 0, 0, evalErr
-			}
-			resultPairs += res.Len()
-			if fingerprint {
-				res.Each(addPair)
-			}
+		res, evalErr := engine.Evaluate(q)
+		if evalErr != nil {
+			return 0, 0, 0, evalErr
+		}
+		resultPairs += res.Len()
+		if fingerprint {
+			res.Each(addPair)
 		}
 	}
 	return resultPairs, engine.SharedPairsTotal(), fp, nil

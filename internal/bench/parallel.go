@@ -108,7 +108,7 @@ func RunParallelBatch(cfg RunConfig) (*ParallelSweep, error) {
 				engine := core.New(g, core.Options{Strategy: strategy})
 				start := time.Now()
 				var (
-					results []*pairs.Set
+					results []*pairs.Relation
 					err     error
 				)
 				if workers == 1 {

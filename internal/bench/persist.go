@@ -82,7 +82,7 @@ const persistTailBatches = 3
 // order-independent checksum and a pair total.
 func persistFingerprint(e *core.Engine, batch []rpq.Expr) (pairs int, fp uint64, err error) {
 	for qi, q := range batch {
-		res, evalErr := e.EvaluateRel(q)
+		res, evalErr := e.Evaluate(q)
 		if evalErr != nil {
 			return 0, 0, evalErr
 		}

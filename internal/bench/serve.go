@@ -38,7 +38,7 @@ import (
 // Two gates make the row trustworthy rather than merely fast:
 // CrossEpochHits must be zero on both legs (no batch or request ever
 // observed two graph versions), and an untimed identity phase checks
-// the HTTP path returns, pair for pair, what serial Engine.EvaluateRel
+// the HTTP path returns, pair for pair, what serial Engine.Evaluate
 // computes.
 
 // ServeRow is one (dataset, family, cache mode) measurement at a fixed
@@ -282,7 +282,7 @@ func serveIdentity(g *graph.Graph, pool []string, clients int) (bool, error) {
 	serial := core.New(g, core.Options{})
 	want := make(map[string][]pairs.Pair, len(pool))
 	for _, q := range pool {
-		rel, err := serial.EvaluateRel(rpq.MustParse(q))
+		rel, err := serial.Evaluate(rpq.MustParse(q))
 		if err != nil {
 			return false, fmt.Errorf("serial %s: %w", q, err)
 		}

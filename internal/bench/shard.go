@@ -117,7 +117,7 @@ func shardIdentity(g *graph.Graph, opts core.Options, exprs []rpq.Expr, script [
 			return cluster.CrossEpochHits(), fmt.Errorf("cluster batch at round %d: %w", r, err)
 		}
 		for i, q := range exprs {
-			want, err := single.EvaluateRel(q)
+			want, err := single.Evaluate(q)
 			if err != nil {
 				return cluster.CrossEpochHits(), fmt.Errorf("single %s at round %d: %w", q, r, err)
 			}

@@ -142,7 +142,7 @@ func pickStreamQueries(g *graph.Graph, batch []rpq.Expr) ([]rpq.Expr, map[string
 	}
 	ranked := make([]sized, 0, len(batch))
 	for _, q := range batch {
-		rel, err := engine.EvaluateRel(q)
+		rel, err := engine.Evaluate(q)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -221,7 +221,7 @@ func measureStreamQuery(g *graph.Graph, q rpq.Expr, dataset string, want streamO
 	for rep := 0; rep < streamReps; rep++ {
 		engine := core.New(g, core.Options{})
 		start := time.Now()
-		rel, err := engine.EvaluateRel(q)
+		rel, err := engine.Evaluate(q)
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +259,7 @@ func measureStreamQuery(g *graph.Graph, q rpq.Expr, dataset string, want streamO
 	// Allocation passes, untimed, one fresh engine each.
 	_, sealedBytes, err := measureAllocs(func() error {
 		engine := core.New(g, core.Options{})
-		_, err := engine.EvaluateRel(q)
+		_, err := engine.Evaluate(q)
 		return err
 	})
 	if err != nil {

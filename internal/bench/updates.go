@@ -205,7 +205,7 @@ func runUpdateLeg(g *graph.Graph, batch []rpq.Expr, script [][]core.GraphUpdate,
 	evalBatch := func(e *core.Engine, round int) error {
 		var fp uint64
 		for qi, q := range batch {
-			res, evalErr := e.EvaluateRel(q)
+			res, evalErr := e.Evaluate(q)
 			if evalErr != nil {
 				return evalErr
 			}

@@ -94,7 +94,7 @@ func TestBackwardPlanEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := eval.Reference(g, q); !got.Equal(want) {
+	if want := eval.Reference(g, q); !got.EqualSet(want) {
 		t.Fatalf("backward plan: %d pairs, reference %d pairs", got.Len(), want.Len())
 	}
 }

@@ -123,7 +123,7 @@ func asPanicError(query string, r any, err *error) {
 }
 
 // SetEvalHook installs a hook called with the canonical query text at
-// the start of every EvaluateRel-pipeline evaluation on this engine and
+// the start of every Evaluate-pipeline evaluation on this engine and
 // every fork created afterwards. It exists for fault injection: the
 // chaos tests and the panic-isolation storm make the hook panic for
 // chosen query strings to prove the recovery and quarantine machinery.

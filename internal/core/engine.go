@@ -245,7 +245,7 @@ type engineShared struct {
 	cancel *cancelState
 
 	// evalHook, when non-nil, runs at the start of every
-	// EvaluateRel-pipeline evaluation — the fault-injection seam the
+	// Evaluate-pipeline evaluation — the fault-injection seam the
 	// panic-isolation tests use. Copied to forks; install via
 	// SetEvalHook before serving starts.
 	evalHook func(query string)
@@ -471,7 +471,7 @@ func (sh *engineShared) SharedPairsTotal() int {
 }
 
 // EvaluateQuery parses and evaluates q.
-func (e *Engine) EvaluateQuery(q string) (*pairs.Set, error) {
+func (e *Engine) EvaluateQuery(q string) (*pairs.Relation, error) {
 	expr, err := rpq.Parse(q)
 	if err != nil {
 		return nil, err
@@ -479,27 +479,21 @@ func (e *Engine) EvaluateQuery(q string) (*pairs.Set, error) {
 	return e.Evaluate(expr)
 }
 
-// Evaluate computes Q_G for the query under the engine's strategy,
-// against the graph version current when the call starts.
-func (e *Engine) Evaluate(q rpq.Expr) (*pairs.Set, error) {
-	e.mu.Lock()
-	e.stats.Queries++
-	e.mu.Unlock()
-	return e.version().evaluateSharing(q)
-}
+// EvaluateQueryRel is an alias of EvaluateQuery, kept for callers
+// written against the earlier split Set/Relation API.
+func (e *Engine) EvaluateQueryRel(q string) (*pairs.Relation, error) { return e.EvaluateQuery(q) }
 
-// EvaluateRel computes Q_G and returns it in the executor's native
-// sealed form: on the columnar layout the result relation is handed
-// over as-is — no hash-set materialisation at the boundary — which is
-// the cheapest way to consume large results (iterate with Each/EachSrc,
-// probe with Contains). On LayoutMapSet engines the map pipeline runs
-// and its set is sealed once at the end.
-func (e *Engine) EvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
+// Evaluate computes Q_G for the query under the engine's strategy,
+// against the graph version current when the call starts. The result is
+// the executor's sealed relation itself — on a memo hit, the very
+// relation the cache holds — so the public boundary costs no copy.
+// LayoutMapSet engines run the map pipeline and seal its set once.
+func (e *Engine) Evaluate(q rpq.Expr) (*pairs.Relation, error) {
 	rel, _, err := e.EvaluateRelEpoch(q)
 	return rel, err
 }
 
-// EvaluateRelEpoch is EvaluateRel plus the graph epoch the evaluation
+// EvaluateRelEpoch is Evaluate plus the graph epoch the evaluation
 // was pinned to — the single-query form of the query service's demux
 // hooks: a server stamps each response with the epoch so clients can
 // tell when two pages of one result straddled an update.
@@ -571,8 +565,8 @@ func (e *Engine) CostCalibration() (factor float64, samples int) {
 	return e.calib.Factor(), e.calib.Samples()
 }
 
-// evaluateRel runs the EvaluateRel pipeline entirely against this
-// pinned version.
+// evaluateRel runs the Evaluate pipeline entirely against this pinned
+// version.
 func (v *engineVersion) evaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	if v.evalHook != nil {
 		v.evalHook(q.String())
@@ -590,19 +584,10 @@ func (v *engineVersion) evaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	return v.evaluateRelCached(q)
 }
 
-// EvaluateQueryRel parses q and evaluates it with EvaluateRel.
-func (e *Engine) EvaluateQueryRel(q string) (*pairs.Relation, error) {
-	expr, err := rpq.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.EvaluateRel(expr)
-}
-
 // EvaluateSet evaluates a multiple-RPQ set in order, sharing structures
 // across the queries (for NoSharing, simply evaluating them one by one).
-func (e *Engine) EvaluateSet(qs []rpq.Expr) ([]*pairs.Set, error) {
-	out := make([]*pairs.Set, len(qs))
+func (e *Engine) EvaluateSet(qs []rpq.Expr) ([]*pairs.Relation, error) {
+	out := make([]*pairs.Relation, len(qs))
 	for i, q := range qs {
 		res, err := e.Evaluate(q)
 		if err != nil {

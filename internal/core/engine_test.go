@@ -27,7 +27,7 @@ func TestPaperExample1AllStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if !got.Equal(want) {
+		if !got.EqualSet(want) {
 			t.Errorf("%v: got %v, want %v", s, got.Sorted(), want.Sorted())
 		}
 	}
@@ -72,7 +72,7 @@ func TestQueriesWithoutKleene(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if !got.Equal(want) {
+		if !got.EqualSet(want) {
 			t.Errorf("%v: KC-free query wrong", s)
 		}
 	}
@@ -87,7 +87,7 @@ func TestStarQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if !got.Equal(want) {
+		if !got.EqualSet(want) {
 			t.Errorf("%v: got %v, want %v", s, got.Sorted(), want.Sorted())
 		}
 	}
@@ -100,10 +100,10 @@ func TestBareKleeneQuery(t *testing.T) {
 	wantStar := eval.Evaluate(g, rpq.MustParse("(b.c)*"))
 	for _, s := range strategies() {
 		e := New(g, Options{Strategy: s})
-		if got, err := e.EvaluateQuery("(b.c)+"); err != nil || !got.Equal(wantPlus) {
+		if got, err := e.EvaluateQuery("(b.c)+"); err != nil || !got.EqualSet(wantPlus) {
 			t.Errorf("%v: (b.c)+ wrong (err=%v)", s, err)
 		}
-		if got, err := e.EvaluateQuery("(b.c)*"); err != nil || !got.Equal(wantStar) {
+		if got, err := e.EvaluateQuery("(b.c)*"); err != nil || !got.EqualSet(wantStar) {
 			t.Errorf("%v: (b.c)* wrong (err=%v)", s, err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestAlternationAndOptional(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %q: %v", s, q, err)
 			}
-			if !got.Equal(want) {
+			if !got.EqualSet(want) {
 				t.Errorf("%v: %q = %v, want %v", s, q, got.Sorted(), want.Sorted())
 			}
 		}
@@ -136,7 +136,7 @@ func TestNestedKleene(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %q: %v", s, q, err)
 			}
-			if !got.Equal(want) {
+			if !got.EqualSet(want) {
 				t.Errorf("%v: %q = %v, want %v", s, q, got.Sorted(), want.Sorted())
 			}
 		}
@@ -297,7 +297,7 @@ func TestTCAlgoOptions(t *testing.T) {
 	for _, algo := range []rtc.TCAlgorithm{rtc.BFSClosure, rtc.PurdomClosure, rtc.NuutilaClosure} {
 		e := New(g, Options{Strategy: RTCSharing, TCAlgo: algo})
 		got, err := e.EvaluateQuery("d.(b.c)+.c")
-		if err != nil || !got.Equal(want) {
+		if err != nil || !got.EqualSet(want) {
 			t.Errorf("algo %v wrong (err=%v)", algo, err)
 		}
 	}
@@ -309,7 +309,7 @@ func TestUseDFAOption(t *testing.T) {
 	for _, s := range strategies() {
 		e := New(g, Options{Strategy: s, UseDFA: true})
 		got, err := e.EvaluateQuery("d.(b.c)+.c")
-		if err != nil || !got.Equal(want) {
+		if err != nil || !got.EqualSet(want) {
 			t.Errorf("%v with DFA wrong (err=%v)", s, err)
 		}
 	}
@@ -339,7 +339,7 @@ func TestEnginesAgreeWithReference(t *testing.T) {
 			if err != nil {
 				return true // DNF limit explosion: acceptable rejection
 			}
-			if !got.Equal(want) {
+			if !got.EqualSet(want) {
 				t.Logf("strategy=%v expr=%q |got|=%d |want|=%d", s, e, got.Len(), want.Len())
 				return false
 			}
@@ -377,7 +377,7 @@ func TestEnginesAgreeOnBatchUnits(t *testing.T) {
 			}
 			queries = append(queries, rpq.NewConcat(pre, mid, post))
 		}
-		engines := make(map[Strategy][]*pairs.Set)
+		engines := make(map[Strategy][]*pairs.Relation)
 		for _, s := range strategies() {
 			eng := New(g, Options{Strategy: s})
 			res, err := eng.EvaluateSet(queries)
@@ -408,7 +408,7 @@ func TestCachedResultFastPath(t *testing.T) {
 	if _, _, ok := e.CachedResult(q); ok {
 		t.Fatal("cold engine reported a cached result")
 	}
-	want, err := e.EvaluateRel(q)
+	want, err := e.Evaluate(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestCachedResultFastPath(t *testing.T) {
 		{Layout: LayoutMapSet},
 	} {
 		ne := New(g, opts)
-		if _, err := ne.EvaluateRel(q); err != nil {
+		if _, err := ne.Evaluate(q); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, ok := ne.CachedResult(q); ok {

@@ -57,10 +57,11 @@ func TestLayoutAllocGateFigure1(t *testing.T) {
 	}
 }
 
-// Warm columnar batch evaluation must be close to allocation-free: the
-// stamp sets, tuple buffers, builders and evaluators are all pooled, so
-// the steady state allocates only the sealed result columns, the final
-// Set materialisation and per-query planning scraps. The bound is
+// Warm columnar evaluation through the public Evaluate must be close to
+// allocation-free: the stamp sets, tuple buffers, builders and
+// evaluators are all pooled, and the result is the memoised sealed
+// relation itself, so the steady state allocates only per-query
+// bookkeeping scraps. The bound is
 // deliberately loose (it is a regression tripwire, not a spec), but it
 // is far below what any per-tuple or per-vertex allocation would cost.
 func TestColumnarSteadyStateAllocations(t *testing.T) {
@@ -71,12 +72,41 @@ func TestColumnarSteadyStateAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := e.EvaluateRel(q); err != nil {
+		if _, err := e.Evaluate(q); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 60 {
-		t.Errorf("warm columnar EvaluateRel allocates %.1f objects per query, want ≤ 60", allocs)
+		t.Errorf("warm columnar Evaluate allocates %.1f objects per query, want ≤ 60", allocs)
+	}
+}
+
+// A memo-warm query crosses the public boundary without a copy: Evaluate
+// hands back the very relation the result memo holds, whether it lives
+// in the shared relation region or in the engine's overflow memo.
+func TestEvaluateReturnsMemoisedRelation(t *testing.T) {
+	for _, overflow := range []bool{false, true} {
+		e := New(fixtures.Figure1(), Options{})
+		if overflow {
+			e.cache.relPairs.Store(relBudgetPairs)
+		}
+		q := rpq.MustParse("d.(b.c)+.c")
+		first, err := e.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, _, ok := e.CachedResult(q)
+		if !ok {
+			t.Fatalf("overflow=%v: CachedResult missed after Evaluate", overflow)
+		}
+		again, err := e.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != cached || again != cached {
+			t.Errorf("overflow=%v: Evaluate returned %p then %p, memo holds %p; want the memoised relation every time",
+				overflow, first, again, cached)
+		}
 	}
 }
 

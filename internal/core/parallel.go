@@ -36,7 +36,7 @@ import (
 // ApplyUpdates lands mid-batch, all results of one call describe a
 // single graph epoch (the -race update stress test asserts exactly
 // this).
-func (e *Engine) EvaluateBatchParallel(qs []rpq.Expr, workers int) ([]*pairs.Set, error) {
+func (e *Engine) EvaluateBatchParallel(qs []rpq.Expr, workers int) ([]*pairs.Relation, error) {
 	results, _, err := evalBatchPinned(e, nil, qs, workers, nil, (*Engine).Evaluate)
 	return results, err
 }
@@ -49,7 +49,7 @@ func (e *Engine) EvaluateBatchParallel(qs []rpq.Expr, workers int) ([]*pairs.Set
 // stamps every response with the one epoch the batch guarantee already
 // provides — all results of one call describe a single graph version.
 func (e *Engine) EvaluateBatchParallelRel(qs []rpq.Expr, workers int) ([]*pairs.Relation, uint64, error) {
-	return evalBatchPinned(e, nil, qs, workers, nil, (*Engine).EvaluateRel)
+	return evalBatchPinned(e, nil, qs, workers, nil, (*Engine).Evaluate)
 }
 
 // EvaluateBatchParallelRelTimed is EvaluateBatchParallelRel with
@@ -77,7 +77,7 @@ func (e *Engine) EvaluateBatchParallelRelCtx(ctx context.Context, qs []rpq.Expr,
 	if timers != nil && len(timers) != len(qs) {
 		timers = nil
 	}
-	return evalBatchPinned(e, ctx, qs, workers, timers, (*Engine).EvaluateRel)
+	return evalBatchPinned(e, ctx, qs, workers, timers, (*Engine).Evaluate)
 }
 
 // evalBatchPinned is the shared skeleton of the parallel batch
@@ -190,7 +190,7 @@ func evalBatchPinned[T any](e *Engine, ctx context.Context, qs []rpq.Expr, worke
 
 // EvaluateQueriesParallel parses a query batch and evaluates it with
 // EvaluateBatchParallel.
-func (e *Engine) EvaluateQueriesParallel(queries []string, workers int) ([]*pairs.Set, error) {
+func (e *Engine) EvaluateQueriesParallel(queries []string, workers int) ([]*pairs.Relation, error) {
 	qs := make([]rpq.Expr, len(queries))
 	for i, q := range queries {
 		expr, err := rpq.Parse(q)

@@ -331,7 +331,7 @@ func TestCacheHoldsOnlyStructures(t *testing.T) {
 }
 
 // TestEvaluateBatchParallelRelMatchesSerial: the sealed-relation batch
-// hook must return, pair for pair, what serial EvaluateRel returns, in
+// hook must return, pair for pair, what serial Evaluate returns, in
 // input order, stamped with the engine's (unchanged) epoch.
 func TestEvaluateBatchParallelRelMatchesSerial(t *testing.T) {
 	g := stressGraph(t, 23)
@@ -340,9 +340,9 @@ func TestEvaluateBatchParallelRelMatchesSerial(t *testing.T) {
 	serial := New(g, Options{})
 	want := make([]*pairs.Relation, len(batch))
 	for i, q := range batch {
-		rel, err := serial.EvaluateRel(q)
+		rel, err := serial.Evaluate(q)
 		if err != nil {
-			t.Fatalf("serial EvaluateRel: %v", err)
+			t.Fatalf("serial Evaluate: %v", err)
 		}
 		want[i] = rel
 	}

@@ -16,7 +16,7 @@ func warmSnapshotEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
 	e := New(fixtures.Figure1(), opts)
 	for _, q := range persistWarmQueries {
-		if _, err := e.EvaluateRel(rpq.MustParse(q)); err != nil {
+		if _, err := e.Evaluate(rpq.MustParse(q)); err != nil {
 			t.Fatalf("warm %s: %v", q, err)
 		}
 	}
@@ -39,11 +39,11 @@ func TestSnapshotStateRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("%v: restore: %v", strat, err)
 		}
 		for _, q := range persistWarmQueries {
-			want, err := e.EvaluateRel(rpq.MustParse(q))
+			want, err := e.Evaluate(rpq.MustParse(q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := r.EvaluateRel(rpq.MustParse(q))
+			got, err := r.Evaluate(rpq.MustParse(q))
 			if err != nil {
 				t.Fatalf("%v: restored engine: %s: %v", strat, q, err)
 			}
@@ -132,7 +132,7 @@ func TestRestoreEngineNonCaching(t *testing.T) {
 	if e.Epoch() != st.Epoch {
 		t.Fatalf("epoch %d, want %d", e.Epoch(), st.Epoch)
 	}
-	if _, err := e.EvaluateRel(rpq.MustParse("b.c")); err != nil {
+	if _, err := e.Evaluate(rpq.MustParse("b.c")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -150,7 +150,7 @@ func TestInstallStructureExistingWins(t *testing.T) {
 		r.Cache().installStructure(nsRTC+key, &rtcValue{})
 	}
 	for _, q := range persistWarmQueries {
-		if _, err := r.EvaluateRel(rpq.MustParse(q)); err != nil {
+		if _, err := r.Evaluate(rpq.MustParse(q)); err != nil {
 			t.Fatalf("after duplicate install: %s: %v", q, err)
 		}
 	}

@@ -96,7 +96,7 @@ func TestScatterSeamRoutesAndMatches(t *testing.T) {
 
 	for _, qs := range scatterQueries {
 		q := rpq.MustParse(qs)
-		want, err := plain.EvaluateRel(q)
+		want, err := plain.Evaluate(q)
 		if err != nil {
 			t.Fatalf("plain %s: %v", qs, err)
 		}
@@ -106,7 +106,7 @@ func TestScatterSeamRoutesAndMatches(t *testing.T) {
 		if qs == scatterQueries[0] {
 			got, _, err = coord.EvaluateRelTimedCtx(context.Background(), q, nil)
 		} else {
-			got, err = coord.EvaluateRel(q)
+			got, err = coord.Evaluate(q)
 		}
 		if err != nil {
 			t.Fatalf("scattered %s: %v", qs, err)
@@ -148,11 +148,11 @@ func TestScatterSeamFullSharing(t *testing.T) {
 
 	for _, qs := range scatterQueries {
 		q := rpq.MustParse(qs)
-		want, err := plain.EvaluateRel(q)
+		want, err := plain.Evaluate(q)
 		if err != nil {
 			t.Fatalf("plain %s: %v", qs, err)
 		}
-		got, err := coord.EvaluateRel(q)
+		got, err := coord.Evaluate(q)
 		if err != nil {
 			t.Fatalf("scattered %s: %v", qs, err)
 		}
@@ -181,11 +181,11 @@ func TestScatterDeclineFallsBackLocal(t *testing.T) {
 
 	for _, qs := range scatterQueries {
 		q := rpq.MustParse(qs)
-		want, err := plain.EvaluateRel(q)
+		want, err := plain.Evaluate(q)
 		if err != nil {
 			t.Fatalf("plain %s: %v", qs, err)
 		}
-		got, err := coord.EvaluateRel(q)
+		got, err := coord.Evaluate(q)
 		if err != nil {
 			t.Fatalf("declined %s: %v", qs, err)
 		}

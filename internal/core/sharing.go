@@ -44,37 +44,10 @@ type clauseActuals struct {
 }
 
 // planObserver captures the chosen plan and per-clause actuals of one
-// evaluation; evaluateSharing passes nil and skips all bookkeeping.
+// evaluation; plain evaluation passes nil and skips all bookkeeping.
 type planObserver struct {
 	plan    *plan.QueryPlan
 	actuals []clauseActuals
-}
-
-// evaluateSharing implements Algorithm 1 (RTCSharing) and its FullSharing
-// counterpart, split into plan → execute: convert the query to DNF
-// treating outermost Kleene closures as literals, plan each clause
-// (anchor closure, join direction, shared-structure vs direct
-// automaton), execute the clause plans, and union the results. Under the
-// default heuristic planner the plans are exactly Algorithm 1's —
-// rightmost closure, forward join — so the paper's pipeline is the
-// special case the cost-based mode deviates from only on estimated wins.
-//
-// The executor runs on the engine's configured layout: sealed columnar
-// relations by default, the seed's map sets under LayoutMapSet. Either
-// way the public result is a mutable Set; the columnar path materialises
-// it once at this boundary.
-func (e *engineVersion) evaluateSharing(q rpq.Expr) (*pairs.Set, error) {
-	if e.opts.Layout == LayoutMapSet {
-		return e.evaluatePlannedMap(q, nil)
-	}
-	rel, err := e.evaluateRelCached(q)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	set := rel.ToSet()
-	e.addRemainder(time.Since(t0))
-	return set, nil
 }
 
 // evaluateRelCached is the columnar top-level entry: on caching engines
@@ -91,10 +64,20 @@ func (e *engineVersion) evaluateRelCached(q rpq.Expr) (*pairs.Relation, error) {
 	return e.subEvaluateRel(q)
 }
 
-// evaluatePlanned is the columnar plan-execute pipeline: clause results
-// are sealed relations, a single-clause DNF (the common case) returns
-// its relation as-is, and a multi-clause union merges through one pooled
-// builder sealed once.
+// evaluatePlanned implements Algorithm 1 (RTCSharing) and its
+// FullSharing counterpart, split into plan → execute: convert the query
+// to DNF treating outermost Kleene closures as literals, plan each
+// clause (anchor closure, join direction, shared-structure vs direct
+// automaton), execute the clause plans, and union the results. Under the
+// default heuristic planner the plans are exactly Algorithm 1's —
+// rightmost closure, forward join — so the paper's pipeline is the
+// special case the cost-based mode deviates from only on estimated wins.
+//
+// This is the columnar pipeline: clause results are sealed relations, a
+// single-clause DNF (the common case) returns its relation as-is, and a
+// multi-clause union merges through one pooled builder sealed once. The
+// sealed relation is also the public result; nothing copies it at the
+// API boundary.
 func (e *engineVersion) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relation, error) {
 	start := time.Now()
 	clauses, err := rpq.ToDNFLimit(q, e.maxClauses())

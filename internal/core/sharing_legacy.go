@@ -126,7 +126,7 @@ func (e *engineVersion) execClauseMap(cp *plan.ClausePlan) (*pairs.Set, clauseAc
 // immutable by contract; every consumer only reads them.
 func (e *engineVersion) subEvaluateMap(q rpq.Expr) (*pairs.Set, error) {
 	if !e.shouldCache() {
-		return e.evaluateSharing(q)
+		return e.evaluatePlannedMap(q, nil)
 	}
 	key := q.String()
 	e.subMu.Lock()
@@ -135,7 +135,7 @@ func (e *engineVersion) subEvaluateMap(q rpq.Expr) (*pairs.Set, error) {
 	if ok {
 		return res, nil
 	}
-	res, err := e.evaluateSharing(q)
+	res, err := e.evaluatePlannedMap(q, nil)
 	if err != nil {
 		return nil, err
 	}

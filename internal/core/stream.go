@@ -570,7 +570,7 @@ func (e *Engine) AskCounted(ctx context.Context, q rpq.Expr) (found bool, epoch 
 	v := worker.version()
 	epoch = v.epoch
 	if e.opts.Layout == LayoutMapSet {
-		rel, rerr := worker.EvaluateRel(q)
+		rel, rerr := worker.Evaluate(q)
 		if rerr != nil {
 			return false, epoch, 0, rerr
 		}

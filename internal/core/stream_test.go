@@ -91,7 +91,7 @@ func TestStreamMatchesSealedDifferential(t *testing.T) {
 			sealedEngine := New(g, opts)
 			streamEngine := New(g, opts)
 			for qi, q := range qs {
-				want, err := sealedEngine.EvaluateRel(q)
+				want, err := sealedEngine.Evaluate(q)
 				if err != nil {
 					t.Fatalf("case %d %+v: sealed %q: %v", ci, opts, q, err)
 				}
@@ -142,7 +142,7 @@ func TestStreamLimitIsPrefix(t *testing.T) {
 	engine := New(g, Options{})
 	oracle := New(g, Options{})
 	for _, q := range qs {
-		want, err := oracle.EvaluateRel(q)
+		want, err := oracle.Evaluate(q)
 		if err != nil {
 			t.Fatalf("sealed %q: %v", q, err)
 		}
@@ -363,7 +363,7 @@ func TestAskMatchesSealed(t *testing.T) {
 			engine := New(g, opts)
 			oracle := New(g, opts)
 			for _, q := range qs {
-				want, err := oracle.EvaluateRel(q)
+				want, err := oracle.Evaluate(q)
 				if err != nil {
 					t.Fatalf("case %d: sealed %q: %v", ci, q, err)
 				}
@@ -427,7 +427,7 @@ func TestAskShortCircuits(t *testing.T) {
 	// rows scanned.
 	engine := New(g, Options{})
 	q := rpq.MustParse("l0+")
-	if _, err := engine.EvaluateRel(q); err != nil {
+	if _, err := engine.Evaluate(q); err != nil {
 		t.Fatal(err)
 	}
 	found, _, rows, err := engine.AskCounted(context.Background(), q)
@@ -467,7 +467,7 @@ func TestAskBackwardProbe(t *testing.T) {
 	if !found {
 		t.Fatal("ask(pre.l0+.post) = false, want true")
 	}
-	want, err := New(g, Options{}).EvaluateRel(q)
+	want, err := New(g, Options{}).Evaluate(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,11 +76,11 @@ func newUpdateStressPlan(t *testing.T, numBatches, batchSize int) *updateStressP
 
 // epochOf returns the oracle epoch the results jointly match, or -1 for
 // a torn read.
-func (p *updateStressPlan) epochOf(results []*pairs.Set) int {
+func (p *updateStressPlan) epochOf(results []*pairs.Relation) int {
 	for k, row := range p.oracle {
 		match := true
 		for i := range p.queries {
-			if !results[i].Equal(row[i]) {
+			if !results[i].EqualSet(row[i]) {
 				match = false
 				break
 			}

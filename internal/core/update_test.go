@@ -30,7 +30,7 @@ func assertOracle(t *testing.T, e *Engine, queries ...string) {
 			t.Fatalf("evaluate %q: %v", q, err)
 		}
 		want := eval.Reference(e.Graph(), expr)
-		if !got.Equal(want) {
+		if !got.EqualSet(want) {
 			t.Fatalf("%q: engine %d pairs, reference %d pairs", q, got.Len(), want.Len())
 		}
 	}
@@ -159,7 +159,7 @@ func TestApplyUpdatesForkPinsVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	preOracle := eval.Reference(chainGraph(5), rpq.MustParse("a+"))
-	if !got.Equal(preOracle) {
+	if !got.EqualSet(preOracle) {
 		t.Fatalf("fork drifted onto the new version: %d pairs, want %d", got.Len(), preOracle.Len())
 	}
 	// ...while the parent answers against the new one.

@@ -101,44 +101,42 @@ func (ev *Evaluator) EvaluateFrom(starts []graph.VID) *pairs.Set {
 	return ev.evaluate(starts)
 }
 
-// EvaluateAllParallel is EvaluateAll fanned out over worker goroutines:
-// start vertices are evaluated independently (the traversal state is
-// per-start), so the work partitions perfectly. workers ≤ 1 or a
-// single-vertex graph falls back to the serial path. The receiving
-// Evaluator's scratch space is untouched; each worker builds its own.
-func (ev *Evaluator) EvaluateAllParallel(workers int) *pairs.Set {
+// EvaluateAllParallel evaluates R_G from every vertex, fanned out over
+// worker goroutines, and seals it as a relation. Start vertices are
+// evaluated independently (the traversal state is per-start), so the
+// work partitions perfectly: worker w takes the starts congruent to w
+// modulo the worker count and appends into its own builder, and the
+// workers' columns are sealed once into one relation. Each start belongs
+// to one worker, so no pair is emitted twice. workers ≤ 1 or a
+// single-vertex graph runs serially on a fresh evaluator. The receiving
+// Evaluator's scratch space is untouched.
+func (ev *Evaluator) EvaluateAllParallel(workers int) *pairs.Relation {
 	n := ev.g.NumVertices()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return ev.EvaluateAll()
-	}
+	workers = max(1, min(workers, n))
 
-	results := make([]*pairs.Set, workers)
+	builders := make([]*pairs.Builder, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range builders {
+		builders[w] = pairs.NewBuilder(n)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			worker := New(ev.g, ev.expr, ev.opts)
-			out := pairs.NewSet()
 			for v := w; v < n; v += workers {
-				worker.fromVertex(graph.VID(v), out)
+				worker.appendVertex(graph.VID(v), builders[w])
 			}
-			results[w] = out
 		}(w)
 	}
 	wg.Wait()
 
-	merged := results[0]
-	for _, r := range results[1:] {
-		merged.Union(r)
+	merged := builders[0]
+	for _, b := range builders[1:] {
+		merged.AddBuilder(b)
 	}
-	return merged
+	return merged.Seal()
 }
 
 // AppendAll emits R_G into a relation builder instead of a set: every

@@ -306,6 +306,14 @@ func (b *Builder) AddRelation(r *Relation) {
 	})
 }
 
+// AddBuilder records every pair o has recorded, leaving o unchanged:
+// the merge step for builders filled by independent workers, which then
+// seal once.
+func (b *Builder) AddBuilder(o *Builder) {
+	b.srcs = append(b.srcs, o.srcs...)
+	b.dsts = append(b.dsts, o.dsts...)
+}
+
 // Len returns the number of pairs recorded so far (before dedup).
 func (b *Builder) Len() int { return len(b.srcs) }
 
@@ -373,8 +381,6 @@ func (b *Builder) Seal() *Relation {
 	return &Relation{numVertices: n, srcOffsets: offsets, dsts: dsts}
 }
 
-// RelationFromSet seals a mutable Set into a Relation over the given
-// VID space.
 // RelationFromCSR rebuilds a sealed relation from raw CSR columns,
 // validating them first (offsets monotone and spanning dsts, runs
 // strictly increasing, dsts in range) so columns loaded from disk can
@@ -387,6 +393,8 @@ func RelationFromCSR(numVertices int, srcOffsets []int32, dsts []graph.VID) (*Re
 	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, dsts: dsts}, nil
 }
 
+// RelationFromSet seals a mutable Set into a Relation over the given
+// VID space.
 func RelationFromSet(numVertices int, s *Set) *Relation {
 	b := NewBuilder(numVertices)
 	b.AddSet(s)

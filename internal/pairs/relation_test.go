@@ -182,6 +182,29 @@ func TestBuilderReuse(t *testing.T) {
 	}
 }
 
+// AddBuilder merges another builder's pending pairs without consuming
+// them; sealing the merge equals sealing every pair in one builder.
+func TestBuilderAddBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	parts := [][]Pair{randomPairs(rng, 12, 40), randomPairs(rng, 12, 40), nil}
+	merged := NewBuilder(12)
+	all := NewBuilder(12)
+	for _, ps := range parts {
+		b := NewBuilder(12)
+		for _, p := range ps {
+			b.AddPair(p)
+			all.AddPair(p)
+		}
+		merged.AddBuilder(b)
+		if b.Len() != len(ps) {
+			t.Fatalf("AddBuilder consumed its argument: %d pending, want %d", b.Len(), len(ps))
+		}
+	}
+	if got, want := merged.Seal(), all.Seal(); !got.Equal(want) {
+		t.Fatalf("merged seal %v != single-builder seal %v", got.Sorted(), want.Sorted())
+	}
+}
+
 // Long runs exercise the quicksort path of Seal.
 func TestSealLongRuns(t *testing.T) {
 	const n = 300

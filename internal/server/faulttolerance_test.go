@@ -227,7 +227,7 @@ func TestPanicStormQuarantine(t *testing.T) {
 	serial := core.New(g, core.Options{})
 	want := make(map[string]*pairs.Relation)
 	for _, q := range good {
-		rel, err := serial.EvaluateRel(rpq.MustParse(q))
+		rel, err := serial.Evaluate(rpq.MustParse(q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +425,7 @@ func engineFingerprint(t *testing.T, e *core.Engine, queries []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "epoch=%d\n", e.Epoch())
 	for _, q := range queries {
-		rel, err := e.EvaluateRel(rpq.MustParse(q))
+		rel, err := e.Evaluate(rpq.MustParse(q))
 		if err != nil {
 			t.Fatalf("fingerprint %s: %v", q, err)
 		}
@@ -675,7 +675,7 @@ func TestChaosServerProperty(t *testing.T) {
 			t.Fatalf("oracle reached epoch %d replaying toward observed epoch %d", oracle.Epoch(), epoch)
 		}
 		for q, got := range obsCopy[epoch] {
-			rel, err := oracle.EvaluateRel(rpq.MustParse(q))
+			rel, err := oracle.Evaluate(rpq.MustParse(q))
 			if err != nil {
 				t.Fatalf("oracle %s at epoch %d: %v", q, epoch, err)
 			}

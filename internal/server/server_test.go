@@ -89,7 +89,7 @@ func TestServerQueryMatchesSerial(t *testing.T) {
 	serial := core.New(g, core.Options{})
 	want := make(map[string]*pairs.Relation, len(queries))
 	for _, q := range queries {
-		rel, err := serial.EvaluateRel(rpq.MustParse(q))
+		rel, err := serial.Evaluate(rpq.MustParse(q))
 		if err != nil {
 			t.Fatalf("serial %s: %v", q, err)
 		}
@@ -139,7 +139,7 @@ func TestServerPaging(t *testing.T) {
 	g := fixtures.Figure1()
 	serial := core.New(g, core.Options{})
 	const q = "(b·c)+"
-	full, err := serial.EvaluateRel(rpq.MustParse(q))
+	full, err := serial.Evaluate(rpq.MustParse(q))
 	if err != nil {
 		t.Fatal(err)
 	}

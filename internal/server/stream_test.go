@@ -43,7 +43,7 @@ func TestServerCursorPaging(t *testing.T) {
 	g := fixtures.Figure1()
 	serial := core.New(g, core.Options{})
 	const query = "(b.c)+"
-	want, err := serial.EvaluateRel(rpq.MustParse(query))
+	want, err := serial.Evaluate(rpq.MustParse(query))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestServerStreamNDJSON(t *testing.T) {
 	srv, ts := testServer(t, g, Options{DisableCoalescing: true, StreamChunk: 16})
 
 	for _, q := range queries {
-		want, err := serial.EvaluateRel(rpq.MustParse(q))
+		want, err := serial.Evaluate(rpq.MustParse(q))
 		if err != nil {
 			t.Fatalf("serial %s: %v", q, err)
 		}
@@ -308,7 +308,7 @@ func TestServerStreamNDJSON(t *testing.T) {
 
 func mustEval(t *testing.T, e *core.Engine, q string) *pairs.Relation {
 	t.Helper()
-	rel, err := e.EvaluateRel(rpq.MustParse(q))
+	rel, err := e.Evaluate(rpq.MustParse(q))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,9 +260,9 @@ func (c *Cluster) EvaluateBatchParallelRelCtx(ctx context.Context, qs []rpq.Expr
 	return c.coord.EvaluateBatchParallelRelCtx(ctx, qs, workers, timers)
 }
 
-// EvaluateRel evaluates one query under the shared barrier (the
+// Evaluate evaluates one query under the shared barrier (the
 // single-engine convenience form, used by tests and benchmarks).
-func (c *Cluster) EvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
+func (c *Cluster) Evaluate(q rpq.Expr) (*pairs.Relation, error) {
 	rel, _, err := c.EvaluateRelTimedCtx(nil, q, nil)
 	return rel, err
 }

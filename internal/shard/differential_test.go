@@ -123,10 +123,10 @@ func TestClusterDifferentialUpdates(t *testing.T) {
 			// Warm both sides so the update fan-out has structures to
 			// carry, patch and drop on every engine.
 			for _, q := range queries {
-				if _, err := cluster.EvaluateRel(q); err != nil {
+				if _, err := cluster.Evaluate(q); err != nil {
 					t.Fatalf("%+v shards=%d: warmup %q: %v", opts, shards, q, err)
 				}
-				if _, err := single.EvaluateRel(q); err != nil {
+				if _, err := single.Evaluate(q); err != nil {
 					t.Fatalf("%+v: single warmup %q: %v", opts, q, err)
 				}
 			}
@@ -139,15 +139,15 @@ func TestClusterDifferentialUpdates(t *testing.T) {
 				}
 				rebuilt := core.New(cluster.Graph(), opts)
 				for _, q := range queries {
-					got, err := cluster.EvaluateRel(q)
+					got, err := cluster.Evaluate(q)
 					if err != nil {
 						t.Fatalf("%+v shards=%d batch %d: cluster %q: %v", opts, shards, b, q, err)
 					}
-					inc, err := single.EvaluateRel(q)
+					inc, err := single.Evaluate(q)
 					if err != nil {
 						t.Fatalf("%+v batch %d: single %q: %v", opts, b, q, err)
 					}
-					fresh, err := rebuilt.EvaluateRel(q)
+					fresh, err := rebuilt.Evaluate(q)
 					if err != nil {
 						t.Fatalf("%+v batch %d: rebuilt %q: %v", opts, b, q, err)
 					}
@@ -195,7 +195,7 @@ func TestClusterBatchMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		want, err := single.EvaluateRel(q)
+		want, err := single.Evaluate(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func TestClusterStreamMatchesSealed(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(shards) * 7))
 		for batch := 0; batch < 3; batch++ {
 			for qi, q := range queries {
-				want, err := sealedOracle.EvaluateRel(q)
+				want, err := sealedOracle.Evaluate(q)
 				if err != nil {
 					t.Fatalf("shards=%d: sealed %q: %v", shards, q, err)
 				}

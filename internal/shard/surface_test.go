@@ -31,7 +31,7 @@ func TestClusterSurface(t *testing.T) {
 	}
 
 	q := rpq.MustParse("l0.l2+")
-	rel, err := cluster.EvaluateRel(q)
+	rel, err := cluster.Evaluate(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestClusterSurface(t *testing.T) {
 
 	// A fork carries the scatter hook and answers identically outside
 	// the barrier (the coalescer's error-fallback path).
-	frel, err := cluster.Fork().EvaluateRel(q)
+	frel, err := cluster.Fork().Evaluate(q)
 	if err != nil {
 		t.Fatal(err)
 	}

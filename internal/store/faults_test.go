@@ -297,7 +297,7 @@ func TestPersistentDegradationLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	durableEpoch := p.Epoch()
-	wantRel, err := p.EvaluateRel(q)
+	wantRel, err := p.Evaluate(q)
 	if err != nil {
 		t.Fatal(err)
 	}

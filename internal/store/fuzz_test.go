@@ -16,7 +16,7 @@ import (
 func FuzzSnapshotLoad(f *testing.F) {
 	e := core.New(fixtures.Figure1(), core.Options{})
 	for _, q := range []string{"b.c", "(b.c)+"} {
-		if _, err := e.EvaluateRel(rpq.MustParse(q)); err != nil {
+		if _, err := e.Evaluate(rpq.MustParse(q)); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -60,7 +60,7 @@ func TestPersistentLogsAndRecovers(t *testing.T) {
 	}
 
 	q := rpq.MustParse("d.(b.c)+.c")
-	if _, err := p.EvaluateRel(q); err != nil {
+	if _, err := p.Evaluate(q); err != nil {
 		t.Fatal(err)
 	}
 	batches := [][]core.GraphUpdate{
@@ -79,7 +79,7 @@ func TestPersistentLogsAndRecovers(t *testing.T) {
 	if s := d.Stats(); s.WALRecords != 4 {
 		t.Fatalf("logged %d records, want 4 (log-before-apply logs the no-op batch too)", s.WALRecords)
 	}
-	want, err := p.EvaluateRel(q)
+	want, err := p.Evaluate(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPersistentLogsAndRecovers(t *testing.T) {
 	if p2.Epoch() != wantEpoch {
 		t.Fatalf("recovered epoch %d, want %d", p2.Epoch(), wantEpoch)
 	}
-	got, err := p2.EvaluateRel(q)
+	got, err := p2.Evaluate(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func fingerprintEngine(t *testing.T, e *core.Engine, probes []rpq.Expr) string {
 	g := e.Graph()
 	s := fmt.Sprintf("epoch=%d n=%d m=%d", e.Epoch(), g.NumVertices(), g.NumEdges())
 	for i, q := range probes {
-		rel, err := e.EvaluateRel(q)
+		rel, err := e.Evaluate(q)
 		if err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}
@@ -224,7 +224,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				// Interleave evaluation so the cache (and thus snapshots,
 				// if any) holds per-epoch structures mid-script.
 				if i%3 == 1 {
-					if _, err := p.EvaluateRel(probes[i%len(probes)]); err != nil {
+					if _, err := p.Evaluate(probes[i%len(probes)]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -359,7 +359,7 @@ func TestRecoveryEquivalenceWithMidScriptSnapshot(t *testing.T) {
 	}
 	// Warm, snapshot mid-script, then keep mutating.
 	for _, q := range probes {
-		if _, err := p.EvaluateRel(q); err != nil {
+		if _, err := p.Evaluate(q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ func warmedEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	e := core.New(fixtures.Figure1(), core.Options{})
 	for _, q := range warmQueries {
-		if _, err := e.EvaluateRel(rpq.MustParse(q)); err != nil {
+		if _, err := e.Evaluate(rpq.MustParse(q)); err != nil {
 			t.Fatalf("warm %q: %v", q, err)
 		}
 	}
@@ -29,11 +29,11 @@ func warmedEngine(t *testing.T) *core.Engine {
 func sameAnswers(t *testing.T, want, got *core.Engine) {
 	t.Helper()
 	for _, q := range warmQueries {
-		w, err := want.EvaluateRel(rpq.MustParse(q))
+		w, err := want.Evaluate(rpq.MustParse(q))
 		if err != nil {
 			t.Fatalf("oracle %q: %v", q, err)
 		}
-		g, err := got.EvaluateRel(rpq.MustParse(q))
+		g, err := got.Evaluate(rpq.MustParse(q))
 		if err != nil {
 			t.Fatalf("restored %q: %v", q, err)
 		}

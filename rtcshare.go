@@ -114,15 +114,21 @@ func MustParseQuery(q string) Expr { return rpq.MustParse(q) }
 // Pair is an ordered (start vertex, end vertex) result pair.
 type Pair = pairs.Pair
 
-// Result is the evaluation result of an RPQ: a set of ordered vertex
-// pairs (Definition 2 of the paper).
-type Result = pairs.Set
+// Result is the evaluation result of an RPQ: the set of ordered vertex
+// pairs of Definition 2 of the paper, returned as the engine's sealed
+// columnar relation — the same value the engine computed or, on a repeat
+// query, the one its result memo holds, with no copy at the boundary.
+//
+// A Result is immutable and safe for concurrent use. Its pairs are
+// grouped by start vertex in sorted runs, so Each (and EachSrc) yields
+// them in ascending (src, dst) order, Sorted returns that order without
+// sorting, and Page/PageInto slice it by position. Contains is one
+// binary search; SrcsOf/EachDst use a transpose built on first use.
+type Result = pairs.Relation
 
-// Relation is an immutable, columnar evaluation result: pairs grouped
-// by start vertex in sorted CSR runs, with a lazily built end-vertex
-// transpose. Engine.EvaluateRel returns results in this form without
-// materialising a hash set — the cheapest way to consume large results
-// (iterate with Each/EachSrc, probe with Contains).
+// Relation is another name for Result, the immutable columnar
+// evaluation result: pairs grouped by start vertex in sorted CSR runs,
+// with a lazily built end-vertex transpose.
 type Relation = pairs.Relation
 
 // Strategy selects the multi-query evaluation method.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +141,38 @@ func TestPublicEvaluateParallel(t *testing.T) {
 	}
 	if _, err := rtcshare.EvaluateParallel(g, "((", 2); err == nil {
 		t.Error("want parse error")
+	}
+}
+
+// The Result ordering contract: Each yields the pairs in ascending
+// (src, dst) order, which is exactly Sorted(), and an unbounded Page
+// from offset 0 is the same sequence.
+func TestPublicResultOrder(t *testing.T) {
+	g := fig1(t)
+	res, err := rtcshare.Evaluate(g, "(b|c)+")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var each []rtcshare.Pair
+	res.Each(func(src, dst rtcshare.VID) bool {
+		each = append(each, rtcshare.Pair{Src: src, Dst: dst})
+		return true
+	})
+	sorted := res.Sorted()
+	if len(sorted) < 2 {
+		t.Fatalf("result has %d pairs; the order check needs several", len(sorted))
+	}
+	for i := 1; i < len(sorted); i++ {
+		a, b := sorted[i-1], sorted[i]
+		if a.Src > b.Src || (a.Src == b.Src && a.Dst >= b.Dst) {
+			t.Fatalf("Sorted() out of (src, dst) order at %d: %v then %v", i, a, b)
+		}
+	}
+	if !slices.Equal(each, sorted) {
+		t.Errorf("Each order %v != Sorted() %v", each, sorted)
+	}
+	if page := res.Page(0, 0); !slices.Equal(page, sorted) {
+		t.Errorf("Page(0, 0) = %v, want Sorted() %v", page, sorted)
 	}
 }
 
