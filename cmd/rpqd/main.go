@@ -9,7 +9,6 @@
 //	rpqd -graph g.txt -no-coalesce          # per-request evaluation baseline
 //	rpqd -graph g.txt -data ./state         # durable: WAL every update batch
 //	rpqd -data ./state                      # restart from the stored snapshot
-//	rpqd -graph g.txt -shards 4             # label-partitioned in-process cluster
 //	rpqd -demo -pprof :6060                 # also serve net/http/pprof on loopback
 //
 // Endpoints:
@@ -68,14 +67,6 @@
 // fast-lane slot unless -no-fastlane is set. SIGINT/SIGTERM shut down
 // gracefully: in-flight requests and the pending window finish first.
 //
-// -shards N serves a label-partitioned, in-process cluster instead of a
-// single engine: N engine shards each own a slice of the closure-cache
-// working set, the coordinator scatters structure and sub-relation work
-// to the owning shard and joins locally, and /update fans out to every
-// shard under a cluster-epoch barrier. Results are pair-for-pair
-// identical to a single engine; /metrics grows a per-shard section.
-// -shards is incompatible with -data (persistence wraps one engine).
-//
 // -pprof serves net/http/pprof on a separate listener. Bare ":port"
 // addresses are bound to 127.0.0.1 so profiles are never exposed
 // off-host by default.
@@ -126,7 +117,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		noCoalesce  = fs.Bool("no-coalesce", false, "evaluate each request immediately (baseline)")
 		streamChunk = fs.Int("stream-chunk", 0, "pairs per /query/stream and /query/sse chunk (0 = default 512)")
 		streamLag   = fs.Uint64("stream-max-lag", 0, "abort an epoch-pinned stream once the graph advances this many epochs past it (0 = never)")
-		shards      = fs.Int("shards", 0, "serve a label-partitioned in-process cluster of N engine shards (0 = single engine; incompatible with -data)")
 		dataDir     = fs.String("data", "", "persistence directory (snapshot + update log); a resident snapshot wins over -graph")
 		snapEvery   = fs.Int("snapshot-every", 0, "with -data, also snapshot every N effective update batches (0 = only on shutdown and /admin/snapshot)")
 		probeEvery  = fs.Duration("probe-interval", time.Second, "with -data, how often to probe a degraded store to re-enable updates")
@@ -187,9 +177,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		engine  rtcshare.ServerEngine
 		persist *rtcshare.PersistentEngine
 	)
-	if *shards > 0 && *dataDir != "" {
-		return fmt.Errorf("-shards is incompatible with -data (persistence wraps a single engine)")
-	}
 	if *dataDir != "" {
 		st, err := rtcshare.OpenStore(*dataDir)
 		if err != nil {
@@ -209,8 +196,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			fmt.Fprintf(out, "rpqd: initialised %s from seed graph (anchor snapshot at epoch %d, %.1fms)\n",
 				*dataDir, info.Epoch, info.LoadMillis)
 		}
-	} else if *shards > 0 {
-		engine = rtcshare.NewShardedEngine(g, rtcshare.ShardOptions{Shards: *shards, Engine: eopts})
 	} else {
 		engine = rtcshare.NewEngine(g, eopts)
 	}
@@ -245,9 +230,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "rpqd: pprof on http://%s/debug/pprof/\n", pl.Addr())
 	}
 	fmt.Fprintf(out, "rpqd: graph %s\n", engine.Graph().Stats())
-	if *shards > 0 {
-		fmt.Fprintf(out, "rpqd: sharded engine: %d label-partitioned shards\n", *shards)
-	}
 	windowDesc := fmt.Sprintf("window %v", *window)
 	if *window == 0 {
 		windowDesc = fmt.Sprintf("window adaptive [%v, %v]", *minWindow, *maxWindow)

@@ -53,7 +53,6 @@ func Experiments() []Experiment {
 		{ID: "persist", Title: "Persist (beyond the paper): cold-rebuild boot vs snapshot-restore boot", Run: runPersist, JSON: jsonPersist},
 		{ID: "planner", Title: "Planner (beyond the paper): cost-based vs rightmost-decompose", Run: runPlanner, JSON: jsonPlanner},
 		{ID: "serve", Title: "Serve (beyond the paper): closed-loop HTTP, batch coalescing on vs off", Run: runServe, JSON: jsonServe},
-		{ID: "shard", Title: "Shard (beyond the paper): label-partitioned in-process cluster vs single engine", Run: runShard, JSON: jsonShard},
 		{ID: "stream", Title: "Stream (beyond the paper): time-to-first-pair and delivery allocation, sealed vs pull-stream", Run: runStream, JSON: jsonStream},
 		{ID: "updates", Title: "Updates (beyond the paper): incremental maintenance vs rebuild-from-scratch", Run: runUpdates, JSON: jsonUpdates},
 	}
@@ -177,20 +176,6 @@ func jsonLatency(w io.Writer, cfg RunConfig) (any, error) {
 	}
 	ls.RenderLatency(w)
 	return ls, nil
-}
-
-func runShard(w io.Writer, cfg RunConfig) error {
-	_, err := jsonShard(w, cfg)
-	return err
-}
-
-func jsonShard(w io.Writer, cfg RunConfig) (any, error) {
-	ss, err := RunShardExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ss.RenderShard(w)
-	return ss, nil
 }
 
 func jsonServe(w io.Writer, cfg RunConfig) (any, error) {

@@ -249,12 +249,6 @@ type engineShared struct {
 	// panic-isolation tests use. Copied to forks; install via
 	// SetEvalHook before serving starts.
 	evalHook func(query string)
-
-	// scatter, when non-nil, routes shared-structure and sub-relation
-	// work to the engine shard owning the labels involved — the sharded
-	// coordinator's seam (scatter.go). Copied to forks like evalHook;
-	// install via SetScatterHook before serving starts.
-	scatter ScatterHook
 }
 
 // engineVersion is everything whose lifetime is bounded by one graph
@@ -394,7 +388,6 @@ func (e *Engine) forkVersion(v *engineVersion) *Engine {
 			summaries: make(map[string]SharedSummary),
 			calib:     e.calib,
 			evalHook:  e.evalHook,
-			scatter:   e.scatter,
 		},
 	}
 	f.ver.Store(newEngineVersion(&f.engineShared, v.g, v.epoch))
@@ -766,12 +759,6 @@ func (v *engineVersion) planner() *plan.Planner {
 func (v *engineVersion) sharedStructureCached(r rpq.Expr) bool {
 	if !v.shouldCache() {
 		return false
-	}
-	if h := v.scatter; h != nil {
-		// Sharded coordinator: the structures live on the owning shards,
-		// so sunk cost is whatever the cluster already holds at this
-		// version's epoch.
-		return h.StructureCached(v.epoch, r)
 	}
 	key := r.String()
 	switch v.opts.Strategy {

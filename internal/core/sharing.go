@@ -179,7 +179,7 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 	// may contain further Kleene closures when the anchor is not the
 	// rightmost closure).
 	bu := cp.Unit
-	preG, err := e.innerEvaluateRel(bu.Pre)
+	preG, err := e.subEvaluateRel(bu.Pre)
 	if err != nil {
 		return nil, act, err
 	}
@@ -187,7 +187,7 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 
 	var postG *pairs.Relation
 	if cp.Direction == plan.Backward {
-		if postG, err = e.innerEvaluateRel(bu.Post); err != nil {
+		if postG, err = e.subEvaluateRel(bu.Post); err != nil {
 			return nil, act, err
 		}
 		act.Post = postG.Len()
@@ -287,32 +287,6 @@ func (e *engineVersion) subEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	return rel, nil
 }
 
-// innerEvaluateRel evaluates a clause component (Pre, Post or the
-// closure body R) — the decomposition boundary where a sharded
-// coordinator scatters: the owning shard evaluates and memoises the
-// sub-query, and the coordinator gathers the sealed columns for the
-// anchor join. Top-level results deliberately do not pass through here —
-// they memoise coordinator-locally in subEvaluateRel, keeping the fast
-// path (CachedResult) and the scatter seam on separate cache regions.
-// Without a hook (every non-coordinator engine) this is subEvaluateRel.
-func (e *engineVersion) innerEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
-	if h := e.scatter; h != nil && e.shouldCache() {
-		t0 := time.Now()
-		rel, ok, err := h.SubRelation(e.cancelCtx(), e.epoch, q)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			// Shard-side evaluation time lands in the shard's Stats; the
-			// coordinator charges only the wall-clock wait, like a
-			// relation-region singleflight.
-			e.stageOtherWait(time.Since(t0))
-			return rel, nil
-		}
-	}
-	return e.subEvaluateRel(q)
-}
-
 // shouldCache reports whether shared structures and sub-results may be
 // reused across queries. NoSharing never caches — that is its defining
 // property — and DisableCache turns reuse off for the ablation study.
@@ -323,47 +297,15 @@ func (sh *engineShared) shouldCache() bool {
 // getRTC returns the shared RTC for R, computing it on first use
 // (Algorithm 1 lines 9–11). Under singleflight, concurrent first uses of
 // the same R compute it exactly once — the engine that ran the
-// computation counts the miss, the ones that waited count hits. On a
-// sharded coordinator the structure is fetched from (or built by) the
-// owning shard instead; a shard decline — the epoch raced ahead between
-// version pin and scatter — falls back to a coordinator-local build,
-// which the cache's straggler rules keep correct and un-shared.
+// computation counts the miss, the ones that waited count hits.
 func (e *engineVersion) getRTC(r rpq.Expr) (*rtc.RTC, error) {
-	if h := e.scatter; h != nil && e.shouldCache() {
-		t0 := time.Now()
-		structure, sum, hit, ok, err := h.RTC(e.cancelCtx(), e.epoch, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			// The shard accounted the build (if any) in its own Stats;
-			// the coordinator's wall clock really passed at the closure
-			// boundary, so the stage breakdown charges it like a
-			// singleflight wait.
-			e.stageClosureWait(time.Since(t0))
-			e.countLookup(hit, sum)
-			return structure, nil
-		}
-	}
-	structure, sum, hit, err := e.getRTCInfo(r)
-	if err != nil {
-		return nil, err
-	}
-	e.countLookup(hit, sum)
-	return structure, nil
-}
-
-// getRTCInfo is the strategy body of getRTC without lookup accounting:
-// it returns the structure plus the summary and hit flag the caller (the
-// local getRTC, or a shard answering ScatterRTC) folds into its own
-// engine's counters.
-func (e *engineVersion) getRTCInfo(r rpq.Expr) (*rtc.RTC, SharedSummary, bool, error) {
 	if !e.shouldCache() {
 		v, err := e.computeRTC(r)
 		if err != nil {
-			return nil, SharedSummary{}, false, err
+			return nil, err
 		}
-		return v.structure, v.summary, false, nil
+		e.countLookup(false, v.summary)
+		return v.structure, nil
 	}
 	key := nsRTC + r.String()
 	t0 := time.Now()
@@ -379,10 +321,11 @@ func (e *engineVersion) getRTCInfo(r rpq.Expr) (*rtc.RTC, SharedSummary, bool, e
 		e.stageClosureWait(time.Since(t0))
 	}
 	if err != nil {
-		return nil, SharedSummary{}, false, err
+		return nil, err
 	}
 	v := val.(*rtcValue)
-	return v.structure, v.summary, !computed, nil
+	e.countLookup(!computed, v.summary)
+	return v.structure, nil
 }
 
 // reduceR evaluates R under the engine's layout and performs the
@@ -404,7 +347,7 @@ func (e *engineVersion) reduceR(r rpq.Expr) (*graph.DiGraph, error) {
 		e.addRemainder(time.Since(t0))
 		return gr, nil
 	}
-	rg, err := e.innerEvaluateRel(r)
+	rg, err := e.subEvaluateRel(r)
 	if err != nil {
 		return nil, err
 	}
@@ -449,37 +392,15 @@ func (e *engineVersion) computeRTC(r rpq.Expr) (*rtcValue, error) {
 
 // getFullClosure returns the shared full closure R+_G = TC(G_R) for
 // FullSharing, computing it on first use with the same singleflight
-// discipline as getRTC — including the scatter probe and its
-// decline-falls-back-local rule on a sharded coordinator.
+// discipline as getRTC.
 func (e *engineVersion) getFullClosure(r rpq.Expr) (*tc.Closure, error) {
-	if h := e.scatter; h != nil && e.shouldCache() {
-		t0 := time.Now()
-		closure, sum, hit, ok, err := h.FullClosure(e.cancelCtx(), e.epoch, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			e.stageClosureWait(time.Since(t0))
-			e.countLookup(hit, sum)
-			return closure, nil
-		}
-	}
-	closure, sum, hit, err := e.getFullClosureInfo(r)
-	if err != nil {
-		return nil, err
-	}
-	e.countLookup(hit, sum)
-	return closure, nil
-}
-
-// getFullClosureInfo is getRTCInfo for the FullSharing closure.
-func (e *engineVersion) getFullClosureInfo(r rpq.Expr) (*tc.Closure, SharedSummary, bool, error) {
 	if !e.shouldCache() {
 		v, err := e.computeFullClosure(r)
 		if err != nil {
-			return nil, SharedSummary{}, false, err
+			return nil, err
 		}
-		return v.closure, v.summary, false, nil
+		e.countLookup(false, v.summary)
+		return v.closure, nil
 	}
 	t0 := time.Now()
 	val, computed, err := e.cache.GetOrCompute(e.epoch, nsFull+r.String(), func() (v any, err error) {
@@ -490,10 +411,11 @@ func (e *engineVersion) getFullClosureInfo(r rpq.Expr) (*tc.Closure, SharedSumma
 		e.stageClosureWait(time.Since(t0))
 	}
 	if err != nil {
-		return nil, SharedSummary{}, false, err
+		return nil, err
 	}
 	v := val.(*fullValue)
-	return v.closure, v.summary, !computed, nil
+	e.countLookup(!computed, v.summary)
+	return v.closure, nil
 }
 
 // computeFullClosure evaluates R and materialises the full closure of

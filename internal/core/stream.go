@@ -30,7 +30,7 @@ import (
 // that for free — Builder.Seal sorts by (src, dst) and dedups, and the
 // stream emits the same set grouped by ascending source with a
 // per-source sort+dedup — which the differential streaming suite
-// enforces across layouts, planners and shard counts.
+// enforces across layouts and planners.
 
 // ErrStreamClosed is returned by Next after Close.
 var ErrStreamClosed = errors.New("core: result stream closed")
@@ -68,8 +68,8 @@ type ResultStream struct {
 	limit int
 
 	// sealed, when non-nil, backs the stream with an already-sealed
-	// relation (memo-warm fast path, LayoutMapSet fallback, and the
-	// sharded gather) instead of the per-source re-drive.
+	// relation (memo-warm fast path, LayoutMapSet fallback) instead of
+	// the per-source re-drive.
 	sealed    *pairs.Relation
 	sealedPos int
 
@@ -142,7 +142,7 @@ func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions)
 		}
 	}
 	if rel, epoch, ok := e.CachedResult(q); ok {
-		s := StreamFromRelation(rel, epoch)
+		s := streamFromRelation(rel, epoch)
 		s.query = q
 		s.limit = opts.Limit
 		return s, nil
@@ -171,7 +171,7 @@ func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions)
 		if serr != nil {
 			return nil, serr
 		}
-		s := StreamFromRelation(rel, epoch)
+		s := streamFromRelation(rel, epoch)
 		s.query = q
 		s.limit = opts.Limit
 		return s, nil
@@ -195,11 +195,10 @@ func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions)
 	return s, nil
 }
 
-// StreamFromRelation wraps an already-sealed relation as a ResultStream
-// at the given epoch — the memo-warm fast path, and how a sharded
-// cluster streams its gathered result without holding the cluster
-// barrier for the stream's lifetime.
-func StreamFromRelation(rel *pairs.Relation, epoch uint64) *ResultStream {
+// streamFromRelation wraps an already-sealed relation as a ResultStream
+// at the given epoch — the memo-warm fast path and the LayoutMapSet
+// fallback.
+func streamFromRelation(rel *pairs.Relation, epoch uint64) *ResultStream {
 	return &ResultStream{sealed: rel, epoch: epoch}
 }
 
@@ -242,7 +241,7 @@ func (s *ResultStream) openClause(cp *plan.ClausePlan) (*clauseStream, error) {
 	}
 
 	bu := cp.Unit
-	preG, err := v.innerEvaluateRel(bu.Pre)
+	preG, err := v.subEvaluateRel(bu.Pre)
 	if err != nil {
 		return cs, err
 	}
@@ -637,7 +636,7 @@ func (v *engineVersion) askClause(cp *plan.ClausePlan, rows *int64) (bool, error
 	}
 
 	bu := cp.Unit
-	preG, err := v.innerEvaluateRel(bu.Pre)
+	preG, err := v.subEvaluateRel(bu.Pre)
 	if err != nil {
 		return false, err
 	}
@@ -656,7 +655,7 @@ func (v *engineVersion) askClause(cp *plan.ClausePlan, rows *int64) (bool, error
 		}
 	}
 	if cp.Direction == plan.Backward {
-		postG, err := v.innerEvaluateRel(bu.Post)
+		postG, err := v.subEvaluateRel(bu.Post)
 		if err != nil {
 			return false, err
 		}

@@ -7,16 +7,13 @@ import (
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
-	"rtcshare/internal/shard"
 )
 
 // Engine is the evaluation surface the server consumes — exactly the
 // methods the handlers and the batch coalescer call, nothing more. A
-// *core.Engine satisfies it directly (the single-engine rpqd), and so
-// does a *shard.Cluster (rpqd -shards N): the serving layer is
-// indifferent to whether a batch evaluates in one cache or scatters
-// across a label-partitioned cluster, because both honour the same
-// contract — every batch's results describe a single graph epoch.
+// *core.Engine satisfies it directly, and so does any wrapper that
+// honours the same contract — every batch's results describe a single
+// graph epoch.
 type Engine interface {
 	// Epoch returns the current graph epoch.
 	Epoch() uint64
@@ -58,11 +55,4 @@ type Engine interface {
 	// Fork returns a private engine for the coalescer's per-query
 	// error-fallback evaluations.
 	Fork() *core.Engine
-}
-
-// shardStatsProvider is the optional interface a sharded engine
-// implements; when the served Engine does, /metrics grows a per-shard
-// section.
-type shardStatsProvider interface {
-	ShardStats() []shard.Stats
 }

@@ -37,7 +37,6 @@ import (
 	"rtcshare/internal/core"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/rpq"
-	"rtcshare/internal/shard"
 	"rtcshare/internal/store"
 )
 
@@ -185,8 +184,8 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// New returns a Server over engine — a single *core.Engine or a
-// *shard.Cluster, anything satisfying the Engine surface. The engine may
+// New returns a Server over engine — a *core.Engine, or anything
+// satisfying the Engine surface. The engine may
 // be shared with non-HTTP users; ApplyUpdates through either side keeps
 // both epoch-consistent.
 func New(engine Engine, opts Options) *Server {
@@ -927,10 +926,6 @@ type Metrics struct {
 	// Persistence reports the store's bookkeeping and how the engine
 	// booted; nil (omitted) when the server runs without -data.
 	Persistence *store.PersistInfo `json:"persistence,omitempty"`
-	// Shards holds one row per engine shard (cache counters plus the
-	// scatter traffic routed to it); omitted when the server runs a
-	// single unsharded engine.
-	Shards []shard.Stats `json:"shards,omitempty"`
 }
 
 // MetricsSnapshot returns what GET /metrics serves, for in-process
@@ -944,13 +939,8 @@ func (s *Server) MetricsSnapshot() Metrics {
 	if s.coal.ctrl.adaptive() {
 		mode = "adaptive"
 	}
-	var shards []shard.Stats
-	if sp, ok := s.engine.(shardStatsProvider); ok {
-		shards = sp.ShardStats()
-	}
 	return Metrics{
-		Shards: shards,
-		Epoch:  s.engine.Epoch(),
+		Epoch: s.engine.Epoch(),
 		Graph: GraphInfo{
 			Vertices: g.NumVertices(),
 			Edges:    g.NumEdges(),

@@ -277,8 +277,9 @@ func TestDirRotationFaultKeepsLogConsistent(t *testing.T) {
 // through the Faulty wrapper: a WAL append failure degrades the engine
 // (updates rejected, ErrDegraded, counters on Metrics), queries keep
 // serving the last durable epoch, Probe fails while the fault persists
-// and re-arms updates when it clears, and a restart recovers exactly
-// the acknowledged state.
+// and re-arms updates when it clears, DegradedEpisodes counts each
+// healthy→degraded transition once, and a restart recovers exactly the
+// acknowledged state.
 func TestPersistentDegradationLadder(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir)
@@ -324,6 +325,9 @@ func TestPersistentDegradationLadder(t *testing.T) {
 	if !m.Degraded || m.WALAppendErrors != 1 || m.LastError == "" || m.DegradedSince.IsZero() {
 		t.Fatalf("metrics after degradation: %+v", m)
 	}
+	if m.DegradedEpisodes != 1 {
+		t.Fatalf("episodes after first degradation = %d, want 1", m.DegradedEpisodes)
+	}
 
 	// Read-only invariant: queries still answer, at the durable epoch.
 	rel, epoch, err := p.EvaluateRelEpoch(q)
@@ -354,6 +358,9 @@ func TestPersistentDegradationLadder(t *testing.T) {
 	if m := p.Metrics(); m.Degraded || m.DegradedReason != "" {
 		t.Fatalf("metrics still degraded after recovery: %+v", m)
 	}
+	if m := p.Metrics(); m.DegradedEpisodes != 1 {
+		t.Fatalf("episodes after heal = %d, want 1", m.DegradedEpisodes)
+	}
 
 	// Snapshot failure degrades through the same ladder.
 	inj.FailNth(OpRename, 1)
@@ -362,6 +369,18 @@ func TestPersistentDegradationLadder(t *testing.T) {
 	}
 	if m := p.Metrics(); m.SnapshotErrors != 1 || !m.Degraded {
 		t.Fatalf("metrics after snapshot failure: %+v", m)
+	}
+	if m := p.Metrics(); m.DegradedEpisodes != 2 {
+		t.Fatalf("episodes after a failure past the heal = %d, want 2", m.DegradedEpisodes)
+	}
+
+	// A further failure while already degraded is the same episode.
+	inj.FailNth(OpRename, 1)
+	if _, err := p.Snapshot(); err == nil {
+		t.Fatal("injected snapshot fault reported success")
+	}
+	if m := p.Metrics(); m.SnapshotErrors != 2 || m.DegradedEpisodes != 2 {
+		t.Fatalf("failure while degraded: %d snapshot errors, %d episodes (want 2, 2)", m.SnapshotErrors, m.DegradedEpisodes)
 	}
 	inj.Disarm()
 	if err := p.Probe(); err != nil {

@@ -51,6 +51,7 @@ type Persistent struct {
 	degraded        bool
 	degradedReason  string
 	degradedSince   time.Time
+	episodes        int
 	walAppendErrors int
 	snapshotErrors  int
 	lastErr         string
@@ -103,6 +104,10 @@ type PersistInfo struct {
 	Degraded       bool      `json:"degraded"`
 	DegradedReason string    `json:"degraded_reason,omitempty"`
 	DegradedSince  time.Time `json:"degraded_since,omitzero"`
+	// DegradedEpisodes counts transitions into the read-only rung over
+	// the process lifetime; a failure while already degraded does not
+	// start a new episode.
+	DegradedEpisodes int `json:"degraded_episodes"`
 	// WALAppendErrors / SnapshotErrors count persistence failures over
 	// the process lifetime; LastError is the most recent one's text.
 	WALAppendErrors int    `json:"wal_append_errors"`
@@ -247,13 +252,15 @@ func (p *Persistent) snapshotLocked() (SnapshotInfo, error) {
 }
 
 // degradeLocked enters read-only degraded mode (idempotently) and
-// records the failure. Callers hold p.mu.
+// records the failure, counting an episode only on the healthy→degraded
+// transition. Callers hold p.mu.
 func (p *Persistent) degradeLocked(reason string, err error) {
 	p.lastErr = err.Error()
 	if p.degraded {
 		return
 	}
 	p.degraded = true
+	p.episodes++
 	p.degradedReason = reason
 	p.degradedSince = time.Now()
 }
@@ -306,6 +313,7 @@ func (p *Persistent) Metrics() PersistInfo {
 		Degraded:             p.degraded,
 		DegradedReason:       p.degradedReason,
 		DegradedSince:        p.degradedSince,
+		DegradedEpisodes:     p.episodes,
 		WALAppendErrors:      p.walAppendErrors,
 		SnapshotErrors:       p.snapshotErrors,
 		LastError:            p.lastErr,

@@ -50,7 +50,6 @@ import (
 	"rtcshare/internal/rpq"
 	"rtcshare/internal/rtc"
 	"rtcshare/internal/server"
-	"rtcshare/internal/shard"
 	"rtcshare/internal/store"
 )
 
@@ -327,40 +326,8 @@ func EvaluateParallel(g *Graph, query string, workers int) (*Result, error) {
 	return eval.New(g, expr, eval.Options{}).EvaluateAllParallel(workers), nil
 }
 
-// ShardedEngine is a label-partitioned, in-process cluster of engine
-// shards behind one coordinator. The coordinator decomposes each
-// query's clause plans exactly as a single engine would, but scatters
-// every shared-structure build (R+, R_G) and clause sub-relation to the
-// shard owning that sub-expression's label set, gathers the sealed
-// columnar relations back, and runs the anchor joins locally — so N
-// shards hold N disjoint slices of the closure-cache working set while
-// results stay pair-for-pair identical to a single engine. Updates fan
-// out to every shard under a cluster-epoch barrier: no batch ever mixes
-// shard epochs. A ShardedEngine satisfies ServerEngine, so rpqd serves
-// it exactly like a single engine (rpqd -shards N). See DESIGN.md §14.
-type ShardedEngine = shard.Cluster
-
-// ShardOptions configure NewShardedEngine: the shard count, the
-// label-set partitioner (nil = FNV-1a hashing) and the engine options
-// applied identically to the coordinator and every shard.
-type ShardOptions = shard.Options
-
-// ShardPartitioner assigns a sub-expression's sorted label set to a
-// shard; plug a custom one into ShardOptions to encode placement
-// knowledge (hot labels on dedicated shards, say).
-type ShardPartitioner = shard.Partitioner
-
-// ShardStats is one shard's observability row under /metrics: its cache
-// counters plus the scatter traffic routed to it.
-type ShardStats = shard.Stats
-
-// NewShardedEngine returns a label-partitioned cluster of
-// opts.Shards engine shards over g, behind a coordinator implementing
-// ServerEngine.
-func NewShardedEngine(g *Graph, opts ShardOptions) *ShardedEngine { return shard.New(g, opts) }
-
-// ServerEngine is the evaluation surface the HTTP server consumes; both
-// a single *Engine and a *ShardedEngine satisfy it.
+// ServerEngine is the evaluation surface the HTTP server consumes; an
+// *Engine satisfies it.
 type ServerEngine = server.Engine
 
 // Server is the rpqd HTTP/JSON query service over one engine: a batch
@@ -426,7 +393,7 @@ type ServerRuntimeInfo = server.RuntimeInfo
 type CoalescerStats = server.CoalescerStats
 
 // ResultStream is a pull-based, epoch-pinned enumeration of one query's
-// result, opened with Engine.OpenStream (or ShardedEngine.OpenStream).
+// result, opened with Engine.OpenStream.
 // It yields (src, dst) pairs in exactly the sealed relation's
 // (src, dst) order without materialising the top-level relation: the
 // shared inputs (reduced closures, sub-relations) resolve at open time
@@ -468,8 +435,8 @@ type WitnessResponse = server.WitnessResponse
 // epoch aborts (stale cursors plus lag-aborted streams).
 type StreamingInfo = server.StreamingInfo
 
-// NewServer returns the rpqd HTTP handler over engine — a single
-// *Engine or a *ShardedEngine. The engine may be shared with in-process
+// NewServer returns the rpqd HTTP handler over engine, typically an
+// *Engine. The engine may be shared with in-process
 // users; updates through either side keep both epoch-consistent. Close
 // the server to drain its coalescer.
 func NewServer(engine ServerEngine, opts ServerOptions) *Server {
