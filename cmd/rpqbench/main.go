@@ -6,8 +6,6 @@
 //	rpqbench -experiment planner           # cost-based vs rightmost planner
 //	rpqbench -experiment layout            # map-set vs columnar, bfs vs bitset
 //	rpqbench -experiment updates           # incremental maintenance vs rebuild
-//	rpqbench -experiment serve             # HTTP batch coalescing on vs off
-//	rpqbench -experiment latency           # open-loop tail latency, fixed vs adaptive
 //	rpqbench -experiment stream            # time-to-first-pair, sealed vs pull-stream
 //	rpqbench -experiment all               # everything (minutes)
 //	rpqbench -experiment all -paper        # the paper's full protocol (hours)
@@ -17,14 +15,12 @@
 // Scale knobs (-scale, -sets, -rpqs, …) trade fidelity for time; the
 // default configuration reproduces every trend in minutes on a laptop.
 // The committed BENCH_*.json files record the baselines; DESIGN.md
-// discusses each experiment's findings. The latency experiment takes
-// -rates (comma-separated offered rates in queries/second) and
-// -latency-requests (arrivals per leg).
+// discusses each experiment's findings.
 //
 // -json writes a structured report (experiment id, config, per-row wall
 // times, B/op and allocs/op, shared-structure sizes, plan choices) for
-// experiments that support it (planner, layout, updates, serve, latency, stream,
-// fig16), so BENCH_*.json artifacts form a machine-readable perf
+// experiments that support it (planner, layout, updates, stream, chaos,
+// persist, fig16), so BENCH_*.json artifacts form a machine-readable perf
 // trajectory; CI emits one per run.
 package main
 
@@ -33,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"rtcshare/internal/bench"
@@ -57,10 +52,8 @@ func run(args []string) error {
 		seed       = fs.Int64("seed", 0, "override the dataset/workload seed")
 		verify     = fs.Bool("verify", false, "cross-check result counts across strategies")
 		workers    = fs.Int("workers", 0, "override the largest worker fan-out of the parallel sweep (fig16)")
-		clients    = fs.Int("clients", 0, "override the closed-loop client count of the serve experiment")
-		rates      = fs.String("rates", "", "comma-separated offered rates (qps) for the latency experiment")
-		latencyReq = fs.Int("latency-requests", 0, "override the arrivals per latency-experiment leg")
-		jsonPath   = fs.String("json", "", "write the experiment's structured report to this path (planner, layout, updates, serve, latency, stream, fig16)")
+		clients    = fs.Int("clients", 0, "override the query-client count of the chaos experiment")
+		jsonPath   = fs.String("json", "", "write the experiment's structured report to this path (planner, layout, updates, stream, chaos, persist, fig16)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,18 +94,6 @@ func run(args []string) error {
 	if *clients > 0 {
 		cfg.Clients = *clients
 	}
-	if *rates != "" {
-		for _, part := range strings.Split(*rates, ",") {
-			r, perr := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if perr != nil {
-				return fmt.Errorf("-rates: %q is not a number", part)
-			}
-			cfg.Rates = append(cfg.Rates, r)
-		}
-	}
-	if *latencyReq > 0 {
-		cfg.LatencyRequests = *latencyReq
-	}
 	cfg.Verify = cfg.Verify || *verify
 
 	if *experiment == "all" {
@@ -134,7 +115,7 @@ func run(args []string) error {
 		return e.Run(os.Stdout, cfg)
 	}
 	if e.JSON == nil {
-		return fmt.Errorf("experiment %q has no structured report; -json supports planner, layout, updates, serve, latency, stream and fig16", e.ID)
+		return fmt.Errorf("experiment %q has no structured report; -json supports planner, layout, updates, stream, chaos, persist and fig16", e.ID)
 	}
 	report, err := e.JSON(os.Stdout, cfg)
 	if err != nil {

@@ -28,7 +28,7 @@ func TestUnknownExperimentListsIDs(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error for unknown experiment")
 	}
-	for _, id := range []string{"latency", "serve", "planner", "fig10a"} {
+	for _, id := range []string{"chaos", "stream", "planner", "fig10a"} {
 		if !strings.Contains(err.Error(), id) {
 			t.Errorf("error %q does not list experiment %q", err, id)
 		}
@@ -84,9 +84,6 @@ func TestRunErrors(t *testing.T) {
 		{"-experiment", "table4", "-json", "x.json"}, // no structured report
 		{"-experiment", "planner", "-scale", "6", "-maxn", "1", "-sets", "1",
 			"-json", "/nonexistent-dir/x.json"}, // unwritable path
-		{"-experiment", "latency", "-rates", "80,abc"},            // unparsable rate
-		{"-experiment", "latency", "-rates", "-5"},                // out-of-range rate
-		{"-experiment", "latency", "-latency-requests", "200000"}, // over the config cap
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {

@@ -66,7 +66,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	out := &syncBuffer{}
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-graph", path, "-addr", "127.0.0.1:0", "-window", "1ms"}, out)
+		done <- run(ctx, []string{"-graph", path, "-addr", "127.0.0.1:0"}, out)
 	}()
 
 	// Wait for the listen line and extract the bound address.
@@ -147,15 +147,15 @@ func TestRunDemoGraph(t *testing.T) {
 	}
 }
 
-// TestRunAdaptiveBootLine: with the default -window 0 the boot line
-// advertises the adaptive range instead of a fixed duration.
-func TestRunAdaptiveBootLine(t *testing.T) {
+// TestRunBootLine: the boot line advertises the evaluation slots and
+// the per-request timeout the server was configured with.
+func TestRunBootLine(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out := &syncBuffer{}
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-demo", "-addr", "127.0.0.1:0", "-min-window", "200µs", "-max-window", "3ms"}, out)
+		done <- run(ctx, []string{"-demo", "-addr", "127.0.0.1:0", "-max-inflight", "3", "-timeout", "7s"}, out)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for !strings.Contains(out.String(), "serving on") {
@@ -169,8 +169,8 @@ func TestRunAdaptiveBootLine(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !strings.Contains(out.String(), "window adaptive [200µs, 3ms]") {
-		t.Fatalf("boot line does not advertise the adaptive window: %q", out.String())
+	if !strings.Contains(out.String(), "(max-inflight 3, timeout 7s)") {
+		t.Fatalf("boot line does not advertise the admission settings: %q", out.String())
 	}
 	cancel()
 	if err := <-done; err != nil {

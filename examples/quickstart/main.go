@@ -4,7 +4,7 @@
 // walks through the two-level graph reduction of Section III — printing
 // the intermediate artifacts the paper's Examples 3–6 show — and then
 // runs the same graph as a service: an in-process rpqd server fed a
-// coalesced multi-client batch, the serving story of DESIGN.md §10.
+// burst of concurrent clients, the serving story of DESIGN.md §10.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -17,7 +17,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	"rtcshare"
 )
@@ -81,8 +80,8 @@ func main() {
 }
 
 // serveIt runs the Fig. 1 graph as a service: rpqd's handler on an
-// ephemeral port, a burst of concurrent clients whose requests land in
-// one coalescing window, and the /metrics view of what was shared.
+// ephemeral port, a burst of concurrent clients, and the /metrics view
+// of what their requests shared.
 func serveIt(g *rtcshare.Graph) {
 	fmt.Println("\nrunning it as a service (rpqd in-process):")
 
@@ -94,19 +93,16 @@ func serveIt(g *rtcshare.Graph) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		// The same server `rpqd -demo` runs; a fixed 5ms window so the
-		// whole burst below lands in one batch. The fast lane is off
-		// because every Fig. 1 query is planner-cheap — with the default
-		// options all four would bypass the window, which is the right
-		// production behavior but the wrong demo of coalescing.
+		// The same server `rpqd -demo` runs, with its default options.
 		done <- rtcshare.ServeListener(ctx, l, rtcshare.NewEngine(g, rtcshare.Options{}),
-			rtcshare.ServerOptions{Window: 5 * time.Millisecond, DisableFastLane: true})
+			rtcshare.ServerOptions{})
 	}()
 
 	// Four "users" fire concurrently: two ask the Example 1 query, two
-	// ask other queries over the same closure (b·c)+. The coalescer
-	// dedups the repeats and evaluates the window as ONE engine batch,
-	// so all four share the RTC of R = b·c and one graph epoch.
+	// ask other queries over the same closure (b·c)+. Each request is
+	// evaluated directly, but the engine's shared cache builds the RTC
+	// of R = b·c once for all four, and the repeated query either waits
+	// on its twin's evaluation or hits the result memo.
 	queries := []string{"d·(b·c)+·c", "d·(b·c)+·c", "a·(b·c)+", "(b·c)+"}
 	var wg sync.WaitGroup
 	for i, q := range queries {
@@ -133,7 +129,7 @@ func serveIt(g *rtcshare.Graph) {
 	}
 	wg.Wait()
 
-	// What the window did, from the service's own metrics endpoint.
+	// What was shared, from the service's own metrics endpoint.
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		panic(err)
@@ -141,17 +137,19 @@ func serveIt(g *rtcshare.Graph) {
 	var m struct {
 		Coalescer struct {
 			Submitted    int64 `json:"submitted"`
-			Batches      int64 `json:"batches"`
-			DedupHits    int64 `json:"dedup_hits"`
 			FastPathHits int64 `json:"fast_path_hits"`
 		} `json:"coalescer"`
+		Cache struct {
+			Misses int64 `json:"misses"`
+			Hits   int64 `json:"hits"`
+		} `json:"cache"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		panic(err)
 	}
 	resp.Body.Close()
-	fmt.Printf("  coalescing: %d requests -> %d batch(es), %d dedup hit(s), %d fast-path hit(s)\n",
-		m.Coalescer.Submitted, m.Coalescer.Batches, m.Coalescer.DedupHits, m.Coalescer.FastPathHits)
+	fmt.Printf("  sharing: %d requests, %d answered from the result memo; %d closure structure(s) built, reused %d time(s)\n",
+		m.Coalescer.Submitted, m.Coalescer.FastPathHits, m.Cache.Misses, m.Cache.Hits)
 
 	cancel()
 	if err := <-done; err != nil {

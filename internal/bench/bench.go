@@ -47,15 +47,9 @@ type RunConfig struct {
 	// Workers is the largest fan-out of the parallel batch sweep
 	// (fig16); the sweep runs worker counts 1, 2, 4, … up to it.
 	Workers int
-	// Clients is the closed-loop client count of the serve experiment
-	// (0 = the default of 16).
+	// Clients is the concurrent query-client count of the chaos
+	// experiment (0 = the default of 8).
 	Clients int
-	// Rates is the offered-rate sweep (queries/second) of the open-loop
-	// latency experiment. Empty = the default of {100, 1600}.
-	Rates []float64
-	// LatencyRequests is the number of Poisson arrivals per latency-
-	// experiment leg (0 = the default of 480).
-	LatencyRequests int
 }
 
 // DefaultConfig returns a laptop-scale configuration.
@@ -250,14 +244,6 @@ func checkConfig(cfg RunConfig) error {
 	}
 	if cfg.Clients < 0 || cfg.Clients > 256 {
 		return fmt.Errorf("bench: Clients %d out of range (0..256)", cfg.Clients)
-	}
-	for _, r := range cfg.Rates {
-		if r <= 0 || r > 1e6 {
-			return fmt.Errorf("bench: offered rate %g out of range (0, 1e6]", r)
-		}
-	}
-	if cfg.LatencyRequests < 0 || cfg.LatencyRequests > 100000 {
-		return fmt.Errorf("bench: LatencyRequests %d out of range (0..100000)", cfg.LatencyRequests)
 	}
 	return nil
 }

@@ -159,7 +159,7 @@ func TestRegistry(t *testing.T) {
 		"ablations", "chaos",
 		"fig10a", "fig10b", "fig11a", "fig11b", "fig12a", "fig12b",
 		"fig13a", "fig13b", "fig14a", "fig14b", "fig15a", "fig15b",
-		"fig16", "latency", "layout", "persist", "planner", "serve",
+		"fig16", "layout", "persist", "planner",
 		"stream", "table3", "table4", "updates",
 	}
 	if len(exps) != len(wantIDs) {

@@ -185,7 +185,6 @@ func RunChaosExperiment(cfg RunConfig) (*ChaosSweep, error) {
 	}
 	srv := server.New(p.Engine, server.Options{
 		Persist:       p,
-		Window:        500 * time.Microsecond,
 		ProbeInterval: 5 * time.Millisecond,
 	})
 	ts := httptest.NewServer(srv)

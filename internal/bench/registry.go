@@ -48,11 +48,9 @@ func Experiments() []Experiment {
 		{ID: "fig15a", Title: "Fig. 15(a): three-part split vs #RPQs, RMAT_3", Run: rpqSweep(true, (*RPQSweep).RenderFig15)},
 		{ID: "fig15b", Title: "Fig. 15(b): three-part split vs #RPQs, Advogato", Run: rpqSweep(false, (*RPQSweep).RenderFig15)},
 		{ID: "fig16", Title: "Fig. 16 (beyond the paper): parallel batch evaluation vs workers", Run: runParallel, JSON: jsonParallel},
-		{ID: "latency", Title: "Latency (beyond the paper): open-loop tail latency, fixed vs adaptive window × fast lane", Run: runLatency, JSON: jsonLatency},
 		{ID: "layout", Title: "Layout (beyond the paper): map-set vs columnar, bfs vs bitset closures", Run: runLayout, JSON: jsonLayout},
 		{ID: "persist", Title: "Persist (beyond the paper): cold-rebuild boot vs snapshot-restore boot", Run: runPersist, JSON: jsonPersist},
 		{ID: "planner", Title: "Planner (beyond the paper): cost-based vs rightmost-decompose", Run: runPlanner, JSON: jsonPlanner},
-		{ID: "serve", Title: "Serve (beyond the paper): closed-loop HTTP, batch coalescing on vs off", Run: runServe, JSON: jsonServe},
 		{ID: "stream", Title: "Stream (beyond the paper): time-to-first-pair and delivery allocation, sealed vs pull-stream", Run: runStream, JSON: jsonStream},
 		{ID: "updates", Title: "Updates (beyond the paper): incremental maintenance vs rebuild-from-scratch", Run: runUpdates, JSON: jsonUpdates},
 	}
@@ -157,34 +155,6 @@ func runPersist(w io.Writer, cfg RunConfig) error {
 func runUpdates(w io.Writer, cfg RunConfig) error {
 	_, err := jsonUpdates(w, cfg)
 	return err
-}
-
-func runServe(w io.Writer, cfg RunConfig) error {
-	_, err := jsonServe(w, cfg)
-	return err
-}
-
-func runLatency(w io.Writer, cfg RunConfig) error {
-	_, err := jsonLatency(w, cfg)
-	return err
-}
-
-func jsonLatency(w io.Writer, cfg RunConfig) (any, error) {
-	ls, err := RunLatencyExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ls.RenderLatency(w)
-	return ls, nil
-}
-
-func jsonServe(w io.Writer, cfg RunConfig) (any, error) {
-	ss, err := RunServeExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ss.RenderServe(w)
-	return ss, nil
 }
 
 func jsonPersist(w io.Writer, cfg RunConfig) (any, error) {

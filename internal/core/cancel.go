@@ -137,8 +137,8 @@ func (e *Engine) SetEvalHook(hook func(query string)) {
 // cancellation: the evaluation runs on a private fork with ctx attached,
 // aborting at the next checkpoint once ctx is done. Either ctx or st
 // may be nil. Panics during the evaluation are recovered into a
-// *QueryPanicError, so the serving layer's direct and fast-lane paths
-// are panic-isolated exactly like the batch path.
+// *QueryPanicError, so the serving layer's evaluations are
+// panic-isolated exactly like the batch path.
 func (e *Engine) EvaluateRelTimedCtx(ctx context.Context, q rpq.Expr, st *StageTimer) (rel *pairs.Relation, epoch uint64, err error) {
 	if ctx != nil {
 		if cerr := ctx.Err(); cerr != nil {

@@ -10,6 +10,7 @@ import (
 
 	"rtcshare/internal/datagen"
 	"rtcshare/internal/fixtures"
+	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
 )
 
@@ -202,5 +203,86 @@ func TestPanicIsolatedToQuery(t *testing.T) {
 	armed = false
 	if _, _, err := e.EvaluateRelTimedCtx(context.Background(), rpq.MustParse(poison), nil); err != nil {
 		t.Fatalf("query after fault removed: %v", err)
+	}
+}
+
+// blockingCtx is a context whose Err reports Canceled from its
+// blockAt-th poll on. At that poll it first signals entered, then
+// blocks until release closes: the computing goroutine is held
+// mid-build, holding the singleflight entry, until the test lets it
+// fail.
+type blockingCtx struct {
+	context.Context
+	polls   atomic.Int64
+	blockAt int64
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (c *blockingCtx) Err() error {
+	n := c.polls.Add(1)
+	if n < c.blockAt {
+		return nil
+	}
+	if n == c.blockAt {
+		close(c.entered)
+		<-c.release
+	}
+	return context.Canceled
+}
+
+// TestCoWaiterSurvivesComputerCancel: a request parked on another
+// request's in-flight evaluation of the same query must not inherit
+// that request's cancellation. The first evaluation is cancelled
+// mid-build while the second waits on its singleflight entry; the
+// second must still return the correct relation.
+func TestCoWaiterSurvivesComputerCancel(t *testing.T) {
+	e, q := heavyFixture(t)
+	ref, _ := heavyFixture(t)
+	want, err := ref.Evaluate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	first := &blockingCtx{Context: context.Background(), blockAt: 3,
+		entered: make(chan struct{}), release: make(chan struct{})}
+	firstErr := make(chan error, 1)
+	go func() {
+		_, _, err := e.EvaluateRelTimedCtx(first, q, nil)
+		firstErr <- err
+	}()
+	<-first.entered // the first evaluation holds the entry, mid-build
+
+	hits := e.Cache().Counters().RelHits
+	type outcome struct {
+		rel *pairs.Relation
+		err error
+	}
+	second := make(chan outcome, 1)
+	go func() {
+		rel, _, err := e.EvaluateRelTimedCtx(context.Background(), q, nil)
+		second <- outcome{rel, err}
+	}()
+	// The second evaluation's first cache access is the top-level
+	// relation entry the first holds: once it has counted its hit it
+	// holds that entry and will read its outcome.
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Cache().Counters().RelHits == hits {
+		if time.Now().After(deadline) {
+			t.Fatal("second evaluation never reached the shared entry")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(first.release)
+
+	if err := <-firstErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("first evaluation: err = %v, want context.Canceled", err)
+	}
+	got := <-second
+	if got.err != nil {
+		t.Fatalf("co-waiter inherited the first request's cancellation: %v", got.err)
+	}
+	if !got.rel.Equal(want) {
+		t.Fatalf("co-waiter relation has %d pairs, want %d", got.rel.Len(), want.Len())
 	}
 }

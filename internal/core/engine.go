@@ -502,8 +502,8 @@ func (e *Engine) EvaluateRelEpoch(q rpq.Expr) (*pairs.Relation, uint64, error) {
 // CachedResult returns the memoised top-level result of q at the
 // engine's current graph epoch, if the columnar result cache holds a
 // completed one — the query service's non-blocking fast path: a hit
-// answers a request instantly, without entering the batch coalescer's
-// window. A miss reports false without computing anything. Non-caching
+// answers a request instantly, without waiting for an evaluation slot.
+// A miss reports false without computing anything. Non-caching
 // engines (NoSharing, DisableCache) and LayoutMapSet engines always
 // miss.
 func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
@@ -529,15 +529,12 @@ func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 }
 
 // QueryCost plans q against the engine's current graph version and
-// returns the planner's calibrated cost estimate plus the admission
+// returns the planner's calibrated cost estimate plus a cheapness
 // classification: cheap means the estimate sits below the planner's
 // deviation floor — the same threshold under which the cost-based
-// planner considers alternatives interchangeable — so the serving
-// layer can let the query bypass batching without risking a heavy
-// closure build on the reserved slot. Because the planner's
+// planner considers alternatives interchangeable. Because the planner's
 // cached-structure probe treats already-built closures as sunk cost, a
-// memo-warm or structure-warm heavy query classifies cheap, which is
-// exactly the fast-lane admission rule.
+// memo-warm or structure-warm heavy query classifies cheap.
 func (e *Engine) QueryCost(q rpq.Expr) (cost float64, cheap bool, err error) {
 	v := e.version()
 	clauses, err := rpq.ToDNFLimit(q, v.maxClauses())

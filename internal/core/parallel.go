@@ -43,11 +43,8 @@ func (e *Engine) EvaluateBatchParallel(qs []rpq.Expr, workers int) ([]*pairs.Rel
 
 // EvaluateBatchParallelRel is EvaluateBatchParallel in the executor's
 // native sealed form, additionally returning the graph epoch the whole
-// batch was pinned to. This is the batch demux hook of the query
-// service's coalescer: the server evaluates one deduplicated batch,
-// fans the sealed relations back out to the waiting requests, and
-// stamps every response with the one epoch the batch guarantee already
-// provides — all results of one call describe a single graph version.
+// batch was pinned to: all results of one call describe a single graph
+// version.
 func (e *Engine) EvaluateBatchParallelRel(qs []rpq.Expr, workers int) ([]*pairs.Relation, uint64, error) {
 	return evalBatchPinned(e, nil, qs, workers, nil, (*Engine).Evaluate)
 }
@@ -71,8 +68,7 @@ func (e *Engine) EvaluateBatchParallelRelTimed(qs []rpq.Expr, workers int, timer
 // boundaries — so a batch whose clients have all walked away stops
 // burning CPU within one checkpoint interval. The first ctx error
 // aborts the batch and is returned. ctx may be nil (uncancellable) and
-// timers may be nil (untimed); this is the coalescer's batch demux
-// entry point.
+// timers may be nil (untimed).
 func (e *Engine) EvaluateBatchParallelRelCtx(ctx context.Context, qs []rpq.Expr, workers int, timers []*StageTimer) ([]*pairs.Relation, uint64, error) {
 	if timers != nil && len(timers) != len(qs) {
 		timers = nil

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -169,8 +171,11 @@ func (c *SharedCache) CurrentEpoch() uint64 { return c.epoch.Load() }
 // comment's epoch rules).
 //
 // If fn fails, every waiter receives the error and the entry is dropped,
-// so a later call retries the computation. fn runs without any cache
-// lock held and may itself call GetOrCompute with different keys.
+// so a later call retries the computation. The exception is a context
+// error: it ends only the computing caller's request, so a waiter that
+// sees one retries, computing under its own fn if nobody else has
+// started. fn runs without any cache lock held and may itself call
+// GetOrCompute with different keys.
 func (c *SharedCache) GetOrCompute(epoch uint64, key string, fn func() (any, error)) (val any, computed bool, err error) {
 	val, computed, _, err = c.getOrCompute(c.shard(key), &c.hits, &c.misses, epoch, key, fn, nil, nil)
 	return val, computed, err
@@ -223,26 +228,21 @@ func (c *SharedCache) evictRelation(val any) {
 // entry is dropped, returning its budget charge.
 func (c *SharedCache) getOrCompute(s *cacheShard, hits, misses *atomic.Int64, epoch uint64, key string, fn func() (any, error), admit func(any) bool, evict func(any)) (val any, computed, retained bool, err error) {
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		switch {
-		case e.epoch == epoch:
-			s.mu.Unlock()
-			hits.Add(1)
-			<-e.done
-			if e.epoch != epoch {
-				// Unreachable by construction (entry epochs are fixed at
-				// creation); counted so a future regression is loud.
-				c.crossEpochHits.Add(1)
-			}
-			return e.val, false, e.retained, e.err
-		case e.epoch < epoch:
+	for {
+		e, ok := s.entries[key]
+		if !ok {
+			break
+		}
+		if e.epoch < epoch {
 			// Stale entry from before an update: evict and recompute. An
 			// in-flight stale computation is detached, not interrupted —
 			// its waiters still get their (old-epoch) value, but it will
 			// not land in the map or charge the budget.
 			c.staleEvictions.Add(1)
 			c.dropEntryLocked(s, key, e, evict)
-		default:
+			break
+		}
+		if e.epoch > epoch {
 			// The caller is pinned to an older graph version than the
 			// resident entry. Compute privately: the straggler may not
 			// reuse the newer value, and must not evict it either.
@@ -251,6 +251,24 @@ func (c *SharedCache) getOrCompute(s *cacheShard, hits, misses *atomic.Int64, ep
 			val, err = fn()
 			return val, true, false, err
 		}
+		s.mu.Unlock()
+		hits.Add(1)
+		<-e.done
+		if e.epoch != epoch {
+			// Unreachable by construction (entry epochs are fixed at
+			// creation); counted so a future regression is loud.
+			c.crossEpochHits.Add(1)
+		}
+		if !isContextErr(e.err) {
+			return e.val, false, e.retained, e.err
+		}
+		// The computing goroutine's own context ended (its client left or
+		// timed out). That is no answer for this caller, whose context may
+		// still be live. The failed entry is already dropped, so retry:
+		// this caller joins a newer in-flight computation or becomes the
+		// computing goroutine itself, under its own fn and so under its
+		// own context.
+		s.mu.Lock()
 	}
 	e := &cacheEntry{epoch: epoch, done: make(chan struct{})}
 	s.entries[key] = e
@@ -274,6 +292,13 @@ func (c *SharedCache) getOrCompute(s *cacheShard, hits, misses *atomic.Int64, ep
 	s.mu.Unlock()
 	close(e.done)
 	return e.val, true, e.retained, e.err
+}
+
+// isContextErr reports whether err is a context's cancellation or
+// deadline error: one caller's lifetime ending, not a property of the
+// computation every waiter shares.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // dropEntryLocked removes an entry from its shard (whose lock the caller
@@ -320,8 +345,8 @@ func (c *SharedCache) Lookup(epoch uint64, key string) (any, bool) {
 // LookupRelation is Lookup against the relation region: the completed
 // sealed relation for key at the caller's epoch, never blocking and
 // never computing. The query service's fast path uses it to answer a
-// request from the memoised result without entering the coalescing
-// window.
+// request from the memoised result without waiting for an evaluation
+// slot.
 func (c *SharedCache) LookupRelation(epoch uint64, key string) (any, bool) {
 	s := c.relShard(key)
 	s.mu.Lock()

@@ -10,24 +10,25 @@ import (
 // StageTimer is the per-request latency breakdown of one query
 // evaluation: a flat struct of nanosecond counters, one per pipeline
 // stage, cheap enough to thread through the hot path without
-// allocating. The serving layer attributes the queue and coalesce-wait
-// stages; the engine attributes plan, closure-build, join, seal and
-// the traversal/union remainder (Other); the HTTP handler attributes
-// paging. The stages partition the work, so their sum tracks the wall
-// time of the request end to end.
+// allocating. The HTTP handler attributes the decode and page stages,
+// the serving layer the queue stage, and the engine plan, closure-build,
+// join, seal and the traversal/union remainder (Other). The server
+// stamps its stages as consecutive intervals of one clock and charges
+// whatever engine time no engine stage claimed to Other, so for a
+// served request the stages partition the wall time exactly.
 //
 // A StageTimer is not safe for concurrent writers. The engine
 // guarantees single-writer use by attaching a timer only to private
 // worker forks (one evaluation at a time); see EvaluateRelTimed and
 // EvaluateBatchParallelRelTimed.
 type StageTimer struct {
-	// QueueNS is time spent sealed but waiting for a dispatcher slot.
+	// DecodeNS covers request decoding, query parsing and cursor
+	// decoding in the HTTP handler.
+	DecodeNS int64 `json:"decode_ns"`
+	// QueueNS covers the result-memo probe and the wait for an
+	// evaluation slot.
 	QueueNS int64 `json:"queue_ns"`
-	// CoalesceWaitNS is time spent in the open coalescing window,
-	// waiting for company before the batch sealed.
-	CoalesceWaitNS int64 `json:"coalesce_wait_ns"`
-	// PlanNS covers DNF conversion, clause planning and admission
-	// classification.
+	// PlanNS covers DNF conversion and clause planning.
 	PlanNS int64 `json:"plan_ns"`
 	// ClosureBuildNS covers computing the shared closure structure —
 	// TC(Ḡ_R) for RTCSharing, TC(G_R) for FullSharing — or waiting for
@@ -37,7 +38,7 @@ type StageTimer struct {
 	JoinNS int64 `json:"join_ns"`
 	// SealNS is relation sealing: counting-sort into frozen CSR columns.
 	SealNS int64 `json:"seal_ns"`
-	// PageNS is result paging in the HTTP handler.
+	// PageNS is result paging and response assembly in the HTTP handler.
 	PageNS int64 `json:"page_ns"`
 	// OtherNS is everything else the engine does: automaton traversals,
 	// sub-query evaluation boundaries, unions, set materialisation.
@@ -46,14 +47,14 @@ type StageTimer struct {
 
 // Sum returns the total attributed time across all stages.
 func (t *StageTimer) Sum() time.Duration {
-	return time.Duration(t.QueueNS + t.CoalesceWaitNS + t.PlanNS +
+	return time.Duration(t.DecodeNS + t.QueueNS + t.PlanNS +
 		t.ClosureBuildNS + t.JoinNS + t.SealNS + t.PageNS + t.OtherNS)
 }
 
 // Add folds other into t stage by stage.
 func (t *StageTimer) Add(other *StageTimer) {
+	t.DecodeNS += other.DecodeNS
 	t.QueueNS += other.QueueNS
-	t.CoalesceWaitNS += other.CoalesceWaitNS
 	t.PlanNS += other.PlanNS
 	t.ClosureBuildNS += other.ClosureBuildNS
 	t.JoinNS += other.JoinNS
@@ -73,10 +74,9 @@ func (e *Engine) setStages(st *StageTimer) {
 }
 
 // EvaluateRelTimed is EvaluateRelEpoch with per-stage attribution into
-// st: the single-query timed entry the serving layer's fast lane and
-// no-coalescing paths use. The evaluation runs on a private fork so the
-// timer has exactly one writer; the fork's Stats fold back into the
-// receiver as usual. A nil st degenerates to EvaluateRelEpoch.
+// st: the single-query timed entry. The evaluation runs on a private
+// fork so the timer has exactly one writer; the fork's Stats fold back
+// into the receiver as usual. A nil st degenerates to EvaluateRelEpoch.
 func (e *Engine) EvaluateRelTimed(q rpq.Expr, st *StageTimer) (*pairs.Relation, uint64, error) {
 	if st == nil {
 		return e.EvaluateRelEpoch(q)

@@ -10,7 +10,7 @@ import (
 
 // TestStageTimerSumAdd: Sum totals every stage, Add folds stage by stage.
 func TestStageTimerSumAdd(t *testing.T) {
-	a := StageTimer{QueueNS: 1, CoalesceWaitNS: 2, PlanNS: 3, ClosureBuildNS: 4,
+	a := StageTimer{DecodeNS: 1, QueueNS: 2, PlanNS: 3, ClosureBuildNS: 4,
 		JoinNS: 5, SealNS: 6, PageNS: 7, OtherNS: 8}
 	if got := a.Sum(); got != 36*time.Nanosecond {
 		t.Fatalf("Sum = %v, want 36ns", got)
@@ -71,7 +71,7 @@ func TestEvaluateRelTimed(t *testing.T) {
 		t.Errorf("stage sum %v outside (0, wall %v]", sum, wall)
 	}
 	// Server-layer stages are not the engine's to fill.
-	if st.QueueNS != 0 || st.CoalesceWaitNS != 0 || st.PageNS != 0 {
+	if st.DecodeNS != 0 || st.QueueNS != 0 || st.PageNS != 0 {
 		t.Errorf("engine wrote serving-layer stages: %+v", st)
 	}
 }

@@ -21,8 +21,8 @@ const calibMaxRatio = 64.0
 // between actual and estimated output cardinalities as measured by
 // ExplainAnalyze. The resulting Factor multiplies the chosen plan's
 // absolute estimates — uniformly, so relative plan choice is
-// unaffected, but everything keyed to absolute cost (the serving
-// layer's fast-lane admission, EXPLAIN's reported numbers) tracks the
+// unaffected, but everything keyed to absolute cost (Engine.QueryCost's
+// cheapness classification, EXPLAIN's reported numbers) tracks the
 // workload instead of the model's birth constants.
 //
 // Log space makes over- and under-estimation symmetric: a 4x over- and

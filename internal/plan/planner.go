@@ -221,8 +221,8 @@ func (p *Planner) calibrate(cp ClausePlan) ClausePlan {
 	return cp
 }
 
-// CheapCostBound is the admission threshold under which a planned
-// clause counts as cheap: the planner's deviation floor — the cost
+// CheapCostBound is the threshold under which a planned clause counts
+// as cheap: the planner's deviation floor — the cost
 // below which alternative shared plans are not even considered because
 // constant factors dominate — expressed in absolute cost units for the
 // configured layout. Since plan estimates are calibrated by measured

@@ -10,10 +10,10 @@ import (
 )
 
 // Engine is the evaluation surface the server consumes — exactly the
-// methods the handlers and the batch coalescer call, nothing more. A
+// methods the handlers and the admission path call, nothing more. A
 // *core.Engine satisfies it directly, and so does any wrapper that
-// honours the same contract — every batch's results describe a single
-// graph epoch.
+// honours the same contract — every evaluation's result describes the
+// single graph epoch it reports.
 type Engine interface {
 	// Epoch returns the current graph epoch.
 	Epoch() uint64
@@ -28,14 +28,9 @@ type Engine interface {
 	CostCalibration() (factor float64, samples int)
 	// CachedResult is the non-blocking fast-path probe.
 	CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool)
-	// QueryCost is the fast-lane admission classifier.
-	QueryCost(q rpq.Expr) (cost float64, cheap bool, err error)
 	// EvaluateRelTimedCtx evaluates one query with cancellation and
-	// stage attribution — the fast-lane and direct paths.
+	// stage attribution — every /query that misses the memo.
 	EvaluateRelTimedCtx(ctx context.Context, q rpq.Expr, st *core.StageTimer) (*pairs.Relation, uint64, error)
-	// EvaluateBatchParallelRelCtx evaluates one deduplicated batch — the
-	// coalescer's demux hook.
-	EvaluateBatchParallelRelCtx(ctx context.Context, qs []rpq.Expr, workers int, timers []*core.StageTimer) ([]*pairs.Relation, uint64, error)
 	// OpenStream opens a pull-based, epoch-pinned result stream — the
 	// /query/stream and /query/sse delivery path.
 	OpenStream(ctx context.Context, q rpq.Expr, opts core.StreamOptions) (*core.ResultStream, error)
@@ -52,7 +47,4 @@ type Engine interface {
 	ExplainQuery(q string) (*core.Plan, error)
 	// ExplainAnalyzeQuery is ExplainQuery with execution.
 	ExplainAnalyzeQuery(q string) (*core.Plan, error)
-	// Fork returns a private engine for the coalescer's per-query
-	// error-fallback evaluations.
-	Fork() *core.Engine
 }

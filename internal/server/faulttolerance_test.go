@@ -25,7 +25,7 @@ import (
 )
 
 // This file tests the fault-tolerance surface end to end: cancellation
-// through the coalescer, panic isolation and quarantine over HTTP, the
+// through the admission path, panic isolation and quarantine over HTTP, the
 // degradation ladder under injected store faults, and the chaos
 // property gate — the serving stack under concurrent queries, updates
 // and a fault scripter must stay correct, degrade honestly, and recover
@@ -96,7 +96,6 @@ func persistentServer(t *testing.T, g *graph.Graph, seed int64) (*store.Injector
 	}
 	srv := New(p.Engine, Options{
 		Persist:       p,
-		Window:        time.Millisecond,
 		ProbeInterval: 5 * time.Millisecond,
 	})
 	ts := httptest.NewServer(srv)
@@ -109,19 +108,18 @@ func persistentServer(t *testing.T, g *graph.Graph, seed int64) (*store.Injector
 }
 
 // TestSubmitExpiredContext: a request whose context is already done is
-// refused before admission — no evaluation runs, no batch forms, the
-// abandoned counter ticks — and afterwards the seal-reason split still
-// accounts for every batch (Batches == window + size + flush seals).
+// refused before admission — no evaluation runs and the abandoned
+// counter ticks — and a live request afterwards is served normally.
 func TestSubmitExpiredContext(t *testing.T) {
 	eng := core.New(fixtures.Figure1(), core.Options{})
 	var evals atomic.Int64
 	eng.SetEvalHook(func(string) { evals.Add(1) })
-	srv := New(eng, Options{Window: time.Millisecond, DisableFastLane: true})
+	srv := New(eng, Options{})
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := srv.coal.submit(ctx, "d.(b.c)+.c", rpq.MustParse("d.(b.c)+.c"))
+	res := srv.coal.submit(ctx, "d.(b.c)+.c", rpq.MustParse("d.(b.c)+.c"), time.Now())
 	if !errors.Is(res.err, context.Canceled) {
 		t.Fatalf("expired-ctx submit err = %v, want context.Canceled", res.err)
 	}
@@ -132,28 +130,24 @@ func TestSubmitExpiredContext(t *testing.T) {
 	if evals.Load() != 0 {
 		t.Fatalf("expired-ctx submit ran %d evaluations", evals.Load())
 	}
-	if st.Batches != 0 || st.BatchQueries != 0 {
-		t.Fatalf("expired-ctx submit formed a batch: %+v", st)
-	}
 
-	// A live request still coalesces normally...
-	res = srv.coal.submit(context.Background(), "d.(b.c)+.c", rpq.MustParse("d.(b.c)+.c"))
+	res = srv.coal.submit(context.Background(), "d.(b.c)+.c", rpq.MustParse("d.(b.c)+.c"), time.Now())
 	if res.err != nil {
 		t.Fatalf("live submit after expired one: %v", res.err)
 	}
-	// ...and the seal-reason split stays consistent: every evaluated
-	// batch is attributed to exactly one seal cause.
-	eventually(t, 2*time.Second, "seal reasons account for all batches", func() bool {
-		st := srv.coal.stats()
-		return st.Batches >= 1 && st.Batches == st.SealedByWindow+st.SealedBySize+st.SealedByFlush
-	})
+	if res.path != pathEvaluated || evals.Load() != 1 {
+		t.Fatalf("live submit: path %v after %d evaluations, want one evaluation", res.path, evals.Load())
+	}
+	if st := srv.coal.stats(); st.Abandoned != 1 || st.Submitted != 2 {
+		t.Fatalf("stats after live submit = %+v, want 2 submitted, 1 abandoned", st)
+	}
 }
 
-// TestAbandonedBatchCancelled: a sealed batch whose every waiter walked
-// away is cancelled instead of evaluated. The dispatcher is wedged on a
-// first batch (eval hook blocks), a second batch seals and queues, its
-// only waiter times out, and the batch must be skipped and counted —
-// never handed to the engine.
+// TestAbandonedBatchCancelled: a request whose deadline passes while it
+// waits for an evaluation slot is never handed to the engine. The only
+// slot is wedged on a first query (its eval hook blocks), the second
+// query's deadline expires in the wait, and it must leave with the
+// deadline error and no evaluation.
 func TestAbandonedBatchCancelled(t *testing.T) {
 	eng := core.New(fixtures.Figure1(), core.Options{})
 	release := make(chan struct{})
@@ -168,35 +162,31 @@ func TestAbandonedBatchCancelled(t *testing.T) {
 			abandonedEvaluated.Add(1)
 		}
 	})
-	srv := New(eng, Options{
-		Window:          time.Millisecond,
-		DisableFastLane: true,
-		MaxInFlight:     1,
-	})
+	srv := New(eng, Options{MaxInFlight: 1})
 	defer srv.Close()
 
 	blockerDone := make(chan result, 1)
 	go func() {
-		blockerDone <- srv.coal.submit(context.Background(), "a.b", rpq.MustParse("a.b"))
+		blockerDone <- srv.coal.submit(context.Background(), "a.b", rpq.MustParse("a.b"), time.Now())
 	}()
-	<-entered // the dispatcher is now wedged inside the first batch
+	<-entered // the only slot is now wedged inside the first evaluation
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	res := srv.coal.submit(ctx, "b.c", rpq.MustParse("b.c"))
+	res := srv.coal.submit(ctx, "b.c", rpq.MustParse("b.c"), time.Now())
 	if !errors.Is(res.err, context.DeadlineExceeded) {
 		t.Fatalf("abandoned waiter err = %v, want context.DeadlineExceeded", res.err)
 	}
 
 	close(release)
 	if res := <-blockerDone; res.err != nil {
-		t.Fatalf("blocked batch result: %v", res.err)
+		t.Fatalf("blocked evaluation result: %v", res.err)
 	}
-	eventually(t, 2*time.Second, "abandoned batch counted as cancelled", func() bool {
-		return srv.coal.stats().BatchesCancelled >= 1
-	})
+	if st := srv.coal.stats(); st.Abandoned != 1 {
+		t.Fatalf("Abandoned = %d, want 1", st.Abandoned)
+	}
 	if n := abandonedEvaluated.Load(); n != 0 {
-		t.Fatalf("abandoned batch was still evaluated %d times", n)
+		t.Fatalf("abandoned request was still evaluated %d times", n)
 	}
 }
 
@@ -216,7 +206,7 @@ func TestPanicStormQuarantine(t *testing.T) {
 			panic("injected evaluator fault")
 		}
 	})
-	srv := New(eng, Options{Window: time.Millisecond})
+	srv := New(eng, Options{})
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()
@@ -343,7 +333,7 @@ func TestUpdateDegradedThenRearm(t *testing.T) {
 // outranks any degraded state.
 func TestHealthzDraining(t *testing.T) {
 	eng := core.New(fixtures.Figure1(), core.Options{})
-	srv := New(eng, Options{Window: time.Millisecond})
+	srv := New(eng, Options{})
 	srv.Close()
 
 	rec := httptest.NewRecorder()
@@ -463,7 +453,7 @@ func TestChaosServerProperty(t *testing.T) {
 	}
 	// Worker panics interleave with the I/O faults: one poison query
 	// string crashes its evaluation every time; isolation must confine
-	// it to 500s (then 422s once quarantined) while co-batched healthy
+	// it to 500s (then 422s once quarantined) while concurrent healthy
 	// queries keep verifying against the oracle.
 	const poison = "(c.b.a)+"
 	p.Engine.SetEvalHook(func(q string) {
@@ -473,7 +463,6 @@ func TestChaosServerProperty(t *testing.T) {
 	})
 	srv := New(p.Engine, Options{
 		Persist:       p,
-		Window:        500 * time.Microsecond,
 		ProbeInterval: 5 * time.Millisecond,
 	})
 	ts := httptest.NewServer(srv)

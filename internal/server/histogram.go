@@ -142,14 +142,10 @@ func (h *histogram) snapshot() HistogramStats {
 type resultPath int
 
 const (
-	// pathWindowed rode a coalescing window and a dispatcher slot.
-	pathWindowed resultPath = iota
+	// pathEvaluated waited for an evaluation slot and ran on the engine.
+	pathEvaluated resultPath = iota
 	// pathFastPath was answered from the epoch-tagged result memo.
 	pathFastPath
-	// pathFastLane classified cheap and evaluated on the reserved slot.
-	pathFastLane
-	// pathDirect was evaluated immediately (DisableCoalescing).
-	pathDirect
 	// pathAsk answered an existence probe (/query?ask=1) through the
 	// engine's short-circuiting ASK evaluator.
 	pathAsk
@@ -162,14 +158,10 @@ const (
 
 func (p resultPath) String() string {
 	switch p {
-	case pathWindowed:
-		return "windowed"
+	case pathEvaluated:
+		return "evaluated"
 	case pathFastPath:
 		return "fast_path"
-	case pathFastLane:
-		return "fast_lane"
-	case pathDirect:
-		return "direct"
 	case pathAsk:
 		return "ask"
 	case pathStreamed:
@@ -186,8 +178,8 @@ func (p resultPath) String() string {
 // describes "when this stage happens, how long does it take" rather
 // than being diluted by the paths that skip it.
 type StageHistograms struct {
+	Decode       HistogramStats `json:"decode"`
 	Queue        HistogramStats `json:"queue"`
-	CoalesceWait HistogramStats `json:"coalesce_wait"`
 	Plan         HistogramStats `json:"plan"`
 	ClosureBuild HistogramStats `json:"closure_build"`
 	Join         HistogramStats `json:"join"`
@@ -199,17 +191,15 @@ type StageHistograms struct {
 // latencyRecorder aggregates per-request latencies server-side: one
 // overall histogram, one per serving path, and one per pipeline stage.
 type latencyRecorder struct {
-	overall  histogram
-	fastPath histogram
-	fastLane histogram
-	windowed histogram
-	direct   histogram
-	ask      histogram
-	streamed histogram
-	witness  histogram
+	overall   histogram
+	fastPath  histogram
+	evaluated histogram
+	ask       histogram
+	streamed  histogram
+	witness   histogram
 
+	decode       histogram
 	queue        histogram
-	coalesceWait histogram
 	plan         histogram
 	closureBuild histogram
 	join         histogram
@@ -225,10 +215,6 @@ func (l *latencyRecorder) observe(path resultPath, wall time.Duration, st *core.
 	switch path {
 	case pathFastPath:
 		l.fastPath.observe(wall)
-	case pathFastLane:
-		l.fastLane.observe(wall)
-	case pathDirect:
-		l.direct.observe(wall)
 	case pathAsk:
 		l.ask.observe(wall)
 	case pathStreamed:
@@ -236,14 +222,14 @@ func (l *latencyRecorder) observe(path resultPath, wall time.Duration, st *core.
 	case pathWitness:
 		l.witness.observe(wall)
 	default:
-		l.windowed.observe(wall)
+		l.evaluated.observe(wall)
 	}
 	for _, s := range []struct {
 		ns int64
 		h  *histogram
 	}{
+		{st.DecodeNS, &l.decode},
 		{st.QueueNS, &l.queue},
-		{st.CoalesceWaitNS, &l.coalesceWait},
 		{st.PlanNS, &l.plan},
 		{st.ClosureBuildNS, &l.closureBuild},
 		{st.JoinNS, &l.join},
@@ -260,8 +246,8 @@ func (l *latencyRecorder) observe(path resultPath, wall time.Duration, st *core.
 // stages renders the per-stage histograms.
 func (l *latencyRecorder) stages() StageHistograms {
 	return StageHistograms{
+		Decode:       l.decode.snapshot(),
 		Queue:        l.queue.snapshot(),
-		CoalesceWait: l.coalesceWait.snapshot(),
 		Plan:         l.plan.snapshot(),
 		ClosureBuild: l.closureBuild.snapshot(),
 		Join:         l.join.snapshot(),

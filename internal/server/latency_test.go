@@ -1,20 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
 	"rtcshare/internal/core"
 	"rtcshare/internal/datagen"
 	"rtcshare/internal/fixtures"
-	"rtcshare/internal/graph"
-	"rtcshare/internal/rpq"
 )
 
 // TestHistogramBuckets: the log-bucket mapping is monotone, bounded,
@@ -75,99 +69,20 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestWindowControllerFixed: a positive Window pins the controller.
-func TestWindowControllerFixed(t *testing.T) {
-	wc := newWindowController(Options{Window: 2 * time.Millisecond,
-		MinWindow: 100 * time.Microsecond, MaxWindow: 4 * time.Millisecond, MaxBatch: 64})
-	if wc.adaptive() {
-		t.Fatal("fixed controller reports adaptive")
-	}
-	base := time.Now()
-	for i := 0; i < 10; i++ {
-		wc.noteArrival(base.Add(time.Duration(i) * 50 * time.Microsecond))
-	}
-	if w := wc.window(); w != 2*time.Millisecond {
-		t.Fatalf("fixed window moved: %v", w)
-	}
-}
-
-// TestWindowControllerAdaptive drives the controller through its
-// regimes with synthetic arrival times.
-func TestWindowControllerAdaptive(t *testing.T) {
-	opts := Options{MinWindow: 100 * time.Microsecond, MaxWindow: 4 * time.Millisecond, MaxBatch: 64}
-
-	// Fresh: no rate estimate yet, open only the minimum window.
-	wc := newWindowController(opts)
-	if !wc.adaptive() {
-		t.Fatal("zero-Window controller should be adaptive")
-	}
-	if w := wc.window(); w != opts.MinWindow {
-		t.Fatalf("fresh adaptive window = %v, want min %v", w, opts.MinWindow)
-	}
-
-	// Steady 50µs gaps: window = gap × (target−1) = 350µs.
-	base := time.Now()
-	for i := 0; i < 20; i++ {
-		wc.noteArrival(base.Add(time.Duration(i) * 50 * time.Microsecond))
-	}
-	if w := wc.window(); w != 350*time.Microsecond {
-		t.Fatalf("high-rate window = %v, want 350µs", w)
-	}
-	rate, _, _ := wc.gauges()
-	if rate < 19000 || rate > 21000 {
-		t.Fatalf("arrival rate gauge = %v qps, want ~20000", rate)
-	}
-
-	// Measured occupancy below the floor: waiting finds no company, so
-	// back off to the minimum even at a high estimated rate.
-	for i := 0; i < 50; i++ {
-		wc.noteBatch(1)
-	}
-	if w := wc.window(); w != opts.MinWindow {
-		t.Fatalf("low-occupancy window = %v, want min %v", w, opts.MinWindow)
-	}
-	for i := 0; i < 80; i++ {
-		wc.noteBatch(6)
-	}
-	if w := wc.window(); w != 350*time.Microsecond {
-		t.Fatalf("recovered-occupancy window = %v, want 350µs", w)
-	}
-
-	// 1ms gaps want a 7ms window: clamped to the 4ms maximum.
-	slow := newWindowController(opts)
-	for i := 0; i < 20; i++ {
-		slow.noteArrival(base.Add(time.Duration(i) * time.Millisecond))
-	}
-	if w := slow.window(); w != opts.MaxWindow {
-		t.Fatalf("clamped window = %v, want max %v", w, opts.MaxWindow)
-	}
-
-	// 100ms gaps: even the max window cannot expect a second arrival, so
-	// a lone query should not wait — minimum window.
-	lone := newWindowController(opts)
-	for i := 0; i < 5; i++ {
-		lone.noteArrival(base.Add(time.Duration(i) * 100 * time.Millisecond))
-	}
-	if w := lone.window(); w != opts.MinWindow {
-		t.Fatalf("low-rate window = %v, want min %v", w, opts.MinWindow)
-	}
-}
-
 // TestLatencyRecorderPaths: observations land in the overall histogram,
 // the right per-path histogram, and only the non-zero stage histograms.
 func TestLatencyRecorderPaths(t *testing.T) {
 	var l latencyRecorder
-	l.observe(pathFastLane, 2*time.Millisecond, &core.StageTimer{PlanNS: 1000, JoinNS: 2000})
-	l.observe(pathWindowed, 5*time.Millisecond, &core.StageTimer{CoalesceWaitNS: 4000})
+	l.observe(pathEvaluated, 2*time.Millisecond, &core.StageTimer{PlanNS: 1000, JoinNS: 2000})
+	l.observe(pathFastPath, 5*time.Millisecond, &core.StageTimer{DecodeNS: 4000})
 	if l.overall.count.Load() != 2 {
 		t.Fatalf("overall count = %d", l.overall.count.Load())
 	}
-	if l.fastLane.count.Load() != 1 || l.windowed.count.Load() != 1 ||
-		l.fastPath.count.Load() != 0 || l.direct.count.Load() != 0 {
+	if l.evaluated.count.Load() != 1 || l.fastPath.count.Load() != 1 || l.ask.count.Load() != 0 {
 		t.Fatal("per-path histograms mis-routed")
 	}
 	st := l.stages()
-	if st.Plan.Count != 1 || st.Join.Count != 1 || st.CoalesceWait.Count != 1 {
+	if st.Plan.Count != 1 || st.Join.Count != 1 || st.Decode.Count != 1 {
 		t.Fatalf("stage histograms = %+v", st)
 	}
 	if st.Queue.Count != 0 || st.Seal.Count != 0 {
@@ -176,26 +91,24 @@ func TestLatencyRecorderPaths(t *testing.T) {
 }
 
 // TestStageSumWithinWall is the stage-accounting acceptance gate: for
-// windowed requests the per-stage breakdown must partition the
+// evaluated requests the per-stage breakdown must partition the
 // server-measured wall time — the stage sum lands within 5% of WallNS.
-// (The window wait dominates, and every other stage is measured, so the
-// unattributed remainder is just handler overhead.)
+// The handler and the admission path stamp decode, queue, engine and
+// page as consecutive intervals of one clock, so the partition holds by
+// construction, however loaded the machine.
 func TestStageSumWithinWall(t *testing.T) {
 	g, err := datagen.RMAT(datagen.RMATConfig{Vertices: 256, Edges: 1024, Labels: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := testServer(t, g, Options{
-		Window: 20 * time.Millisecond, MaxBatch: 64, Workers: 2,
-		DisableFastLane: true,
-	})
+	_, ts := testServer(t, g, Options{})
 	for i, q := range []string{"l0+", "l1·l2+", "(l0·l1)+"} {
 		resp, status := postQuery(t, ts.URL, QueryRequest{Query: q, Limit: 10})
 		if status != http.StatusOK {
 			t.Fatalf("query %d: status %d", i, status)
 		}
-		if resp.Path != "windowed" {
-			t.Fatalf("query %d rode %q, want windowed", i, resp.Path)
+		if resp.Path != "evaluated" {
+			t.Fatalf("query %d rode %q, want evaluated", i, resp.Path)
 		}
 		sum := resp.Stages.Sum().Nanoseconds()
 		if resp.WallNS <= 0 || sum <= 0 {
@@ -209,169 +122,17 @@ func TestStageSumWithinWall(t *testing.T) {
 			t.Fatalf("query %d: stage sum %dns vs wall %dns — off by %.1f%% (stages %+v)",
 				i, sum, resp.WallNS, 100*float64(gap)/float64(resp.WallNS), resp.Stages)
 		}
-		if resp.Stages.CoalesceWaitNS <= 0 {
-			t.Fatalf("query %d: windowed request attributed no coalesce wait: %+v", i, resp.Stages)
+		if resp.Stages.DecodeNS <= 0 || resp.Stages.QueueNS <= 0 || resp.Stages.PageNS <= 0 {
+			t.Fatalf("query %d: a handler stage is unattributed: %+v", i, resp.Stages)
 		}
-	}
-}
-
-// TestFastLaneDifferential is the fast-lane identity gate: the same
-// query at the same epoch must return byte-identical pages whether it
-// rides the fast lane or a coalescing window, and both must match the
-// serial engine — including after an update patches the closure
-// structures (the sunk-cost admission case).
-func TestFastLaneDifferential(t *testing.T) {
-	g := fixtures.Figure1()
-	serial := core.New(g, core.Options{})
-
-	laneSrv, laneTS := testServer(t, g, Options{MaxBatch: 64, Workers: 2})
-	winSrv, winTS := testServer(t, g, Options{
-		Window: time.Millisecond, MaxBatch: 64, Workers: 2, DisableFastLane: true,
-	})
-
-	queries := []string{"b+", "d·(b·c)+·c", "(a·b)*·b+"}
-	check := func(stage string, wantEpoch uint64) {
-		t.Helper()
-		for _, q := range queries {
-			want, epoch, err := serial.EvaluateRelEpoch(rpq.MustParse(q))
-			if err != nil {
-				t.Fatalf("%s: serial %s: %v", stage, q, err)
-			}
-			if epoch != wantEpoch {
-				t.Fatalf("%s: serial epoch %d, want %d", stage, epoch, wantEpoch)
-			}
-			wantBytes, _ := json.Marshal(want.Sorted())
-
-			lane, status := postQuery(t, laneTS.URL, QueryRequest{Query: q})
-			if status != http.StatusOK {
-				t.Fatalf("%s: lane %s: status %d", stage, q, status)
-			}
-			win, status := postQuery(t, winTS.URL, QueryRequest{Query: q})
-			if status != http.StatusOK {
-				t.Fatalf("%s: windowed %s: status %d", stage, q, status)
-			}
-			for name, resp := range map[string]QueryResponse{"lane": lane, "windowed": win} {
-				if resp.Epoch != wantEpoch {
-					t.Fatalf("%s: %s %s: epoch %d, want %d", stage, name, q, resp.Epoch, wantEpoch)
-				}
-				gotBytes, _ := json.Marshal(pairsOf(resp))
-				if !bytes.Equal(gotBytes, wantBytes) {
-					t.Fatalf("%s: %s %s: %s != serial %s", stage, name, q, gotBytes, wantBytes)
-				}
-			}
-			if win.Path == "fast_lane" {
-				t.Fatalf("%s: lane-disabled server served %s on the fast lane", stage, q)
-			}
-		}
-	}
-
-	check("static", 0)
-
-	// An update on b: closure structures over b are patched or dropped,
-	// relation memos are dropped — the post-update re-query is exactly
-	// the traffic the fast lane's sunk-cost admission targets.
-	up := UpdateRequest{Updates: []EdgeUpdate{{Op: "insert", Src: 0, Label: "b", Dst: 6}}}
-	body, _ := json.Marshal(up)
-	for _, ts := range []*httptest.Server{laneTS, winTS} {
-		resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("update: status %d", resp.StatusCode)
-		}
-	}
-	if _, err := serial.ApplyUpdates([]core.GraphUpdate{core.InsertEdge(0, "b", 6)}); err != nil {
-		t.Fatal(err)
-	}
-
-	check("post-update", 1)
-
-	// On this tiny graph every query classifies cheap, so the lane-on
-	// server must actually have exercised the lane, and neither server
-	// may have crossed epochs.
-	if hits := laneSrv.MetricsSnapshot().Coalescer.FastLaneHits; hits == 0 {
-		t.Fatal("lane-enabled server never used the fast lane")
-	}
-	for name, srv := range map[string]*Server{"lane": laneSrv, "windowed": winSrv} {
-		m := srv.MetricsSnapshot()
-		if m.Cache.CrossEpochHits != 0 {
-			t.Fatalf("%s server: CrossEpochHits = %d", name, m.Cache.CrossEpochHits)
-		}
-		if m.Coalescer.FastLaneHits != 0 && name == "windowed" {
-			t.Fatalf("windowed server recorded fast-lane hits: %+v", m.Coalescer)
-		}
-	}
-}
-
-// TestCoalescerSealStatsConsistent: across all three seal reasons the
-// coalescer's counters stay consistent — every batch is accounted to
-// exactly one reason and the query counts add up.
-func TestCoalescerSealStatsConsistent(t *testing.T) {
-	c := newCoalescer(core.New(fixtures.Figure1(), core.Options{}), Options{
-		Window: 15 * time.Millisecond, MaxBatch: 2, Workers: 1,
-		MaxInFlight: 1, MaxQueuedBatches: 4, DisableFastLane: true,
-	})
-
-	// Size seal: two distinct queries hit MaxBatch.
-	var wg sync.WaitGroup
-	for _, q := range []string{"a", "b"} {
-		wg.Add(1)
-		go func(q string) {
-			defer wg.Done()
-			if r := c.submit(t.Context(), q, rpq.MustParse(q)); r.err != nil {
-				t.Errorf("%s: %v", q, r.err)
-			}
-		}(q)
-	}
-	wg.Wait()
-
-	// Window seal: a lone query waits the timer out.
-	if r := c.submit(t.Context(), "c", rpq.MustParse("c")); r.err != nil {
-		t.Fatalf("window-sealed query: %v", r.err)
-	}
-
-	// Flush seal: a pending query is flushed by close. "e·f" keeps it
-	// distinct from the memo-warm earlier queries (a fast-path hit would
-	// never enter the window).
-	done := make(chan result, 1)
-	go func() { done <- c.submit(t.Context(), "e·f", rpq.MustParse("e·f")) }()
-	for {
-		c.mu.Lock()
-		pending := c.pending != nil
-		c.mu.Unlock()
-		if pending {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	c.close()
-	if r := <-done; r.err != nil {
-		t.Fatalf("flush-sealed query: %v", r.err)
-	}
-
-	st := c.stats()
-	if st.Batches != st.SealedByWindow+st.SealedBySize+st.SealedByFlush {
-		t.Fatalf("batches %d != seal reasons %d+%d+%d",
-			st.Batches, st.SealedByWindow, st.SealedBySize, st.SealedByFlush)
-	}
-	if st.SealedBySize != 1 || st.SealedByWindow != 1 || st.SealedByFlush != 1 {
-		t.Fatalf("expected one batch per seal reason: %+v", st)
-	}
-	if st.BatchQueries != 4 || st.BatchDistinct != 4 || st.Submitted != 4 {
-		t.Fatalf("query accounting off: %+v", st)
-	}
-	if st.FastLaneHits != 0 {
-		t.Fatalf("fast lane hit with the lane disabled: %+v", st)
 	}
 }
 
 // TestMetricsLatencyRuntime: after live traffic, /metrics carries
-// populated latency histograms, controller gauges and the runtime
-// section, under their wire-stable key names.
+// populated latency histograms and the runtime section, under their
+// wire-stable key names.
 func TestMetricsLatencyRuntime(t *testing.T) {
-	srv, ts := testServer(t, fixtures.Figure1(), Options{MaxBatch: 64, Workers: 1})
+	srv, ts := testServer(t, fixtures.Figure1(), Options{})
 	for _, q := range []string{"a", "a", "d·(b·c)+·c"} {
 		if _, status := postQuery(t, ts.URL, QueryRequest{Query: q}); status != http.StatusOK {
 			t.Fatalf("%s: status %d", q, status)
@@ -388,11 +149,8 @@ func TestMetricsLatencyRuntime(t *testing.T) {
 	if m.Latency.Stages.Plan.Count == 0 {
 		t.Fatal("no plan-stage observations")
 	}
-	if m.Latency.WindowMode != "adaptive" {
-		t.Fatalf("window mode = %q, want adaptive (zero Window)", m.Latency.WindowMode)
-	}
-	if m.Latency.ArrivalRateQPS <= 0 {
-		t.Fatal("arrival-rate gauge never moved")
+	if m.Latency.Evaluated.Count != 2 {
+		t.Fatalf("evaluated latency count = %d, want 2", m.Latency.Evaluated.Count)
 	}
 	if m.Runtime.Goroutines <= 0 || m.Runtime.HeapInuseBytes == 0 {
 		t.Fatalf("runtime section empty: %+v", m.Runtime)
@@ -413,8 +171,7 @@ func TestMetricsLatencyRuntime(t *testing.T) {
 	if err := json.Unmarshal(raw["latency"], &lat); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"overall", "fast_path", "fast_lane", "windowed", "direct",
-		"stages", "arrival_rate_qps", "batch_occupancy", "window_mode", "current_window_ms"} {
+	for _, key := range []string{"overall", "fast_path", "evaluated", "ask", "streamed", "witness", "stages"} {
 		if _, ok := lat[key]; !ok {
 			t.Errorf("latency section missing %q", key)
 		}
@@ -437,93 +194,5 @@ func TestMetricsLatencyRuntime(t *testing.T) {
 		if _, ok := hist[key]; !ok {
 			t.Errorf("histogram missing %q", key)
 		}
-	}
-}
-
-// TestServerAdaptiveFastLaneStorm is the -race stress test for the new
-// serving paths: adaptive window plus fast lane under a concurrent
-// update/query storm. The epoch-consistency tripwire (CrossEpochHits)
-// must stay zero however requests are routed.
-func TestServerAdaptiveFastLaneStorm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("storm test skipped in -short")
-	}
-	g, err := datagen.RMAT(datagen.RMATConfig{Vertices: 128, Edges: 512, Labels: 4, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, ts := testServer(t, g, Options{
-		MinWindow: 100 * time.Microsecond,
-		MaxWindow: time.Millisecond,
-		MaxBatch:  32,
-		Workers:   2,
-	})
-
-	queries := []string{"l3+", "l0·l3+", "l3+·l1", "(l2·l3)+", "l0", "l1·l2"}
-	const (
-		clients      = 8
-		perClient    = 30
-		updateRounds = 10
-	)
-	var wg sync.WaitGroup
-	errc := make(chan error, clients+1)
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rngSrc := uint64(3)
-		for r := 0; r < updateRounds; r++ {
-			var ups []EdgeUpdate
-			for i := 0; i < 8; i++ {
-				rngSrc = rngSrc*6364136223846793005 + 1442695040888963407
-				ups = append(ups, EdgeUpdate{Op: "insert",
-					Src: graph.VID(rngSrc % 128), Label: "l3", Dst: graph.VID((rngSrc >> 32) % 128)})
-			}
-			body, _ := json.Marshal(UpdateRequest{Updates: ups})
-			resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewReader(body))
-			if err != nil {
-				errc <- fmt.Errorf("update round %d: %v", r, err)
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errc <- fmt.Errorf("update round %d: status %d", r, resp.StatusCode)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				q := queries[(c+i)%len(queries)]
-				if _, status := postQuery(t, ts.URL, QueryRequest{Query: q, Limit: 16}); status != http.StatusOK {
-					errc <- fmt.Errorf("client %d query %d (%s): status %d", c, i, q, status)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-
-	m := srv.MetricsSnapshot()
-	if m.Cache.CrossEpochHits != 0 {
-		t.Fatalf("CrossEpochHits = %d under adaptive/fast-lane storm, want 0", m.Cache.CrossEpochHits)
-	}
-	if m.Epoch != uint64(updateRounds) {
-		t.Fatalf("final epoch %d, want %d", m.Epoch, updateRounds)
-	}
-	if m.Coalescer.EvalErrors != 0 || m.Coalescer.Rejected != 0 {
-		t.Fatalf("storm hit eval errors or rejections: %+v", m.Coalescer)
-	}
-	if m.Latency.Overall.Count != clients*perClient {
-		t.Fatalf("latency recorder saw %d requests, want %d", m.Latency.Overall.Count, clients*perClient)
 	}
 }

@@ -23,8 +23,8 @@ import (
 //
 //   - every query and update succeeds (no 5xx besides none expected);
 //   - every response's epoch is one the server actually reached;
-//   - CrossEpochHits stays exactly zero — no batch ever observed two
-//     graph versions, even with windows sealing mid-update.
+//   - CrossEpochHits stays exactly zero — no evaluation ever observed
+//     two graph versions, even with updates landing mid-evaluation.
 func TestServerUpdateQueryStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm test skipped in -short")
@@ -33,11 +33,7 @@ func TestServerUpdateQueryStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(core.New(g, core.Options{}), Options{
-		Window:   500 * time.Microsecond,
-		MaxBatch: 32,
-		Workers:  2,
-	})
+	srv := New(core.New(g, core.Options{}), Options{})
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()

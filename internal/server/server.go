@@ -1,20 +1,18 @@
 // Package server implements rpqd's HTTP/JSON query service over a
-// single epoch-versioned core.Engine — the serving layer that turns
-// independent client requests into the shared evaluation batches the
-// paper's RTCSharing is built for.
+// single epoch-versioned core.Engine.
 //
-// The heart is the batch coalescer (coalescer.go): concurrent
-// POST /query requests are admitted into a bounded time/size window,
-// deduplicated by query string, evaluated in one
-// Engine.EvaluateBatchParallelRel call — so unrelated clients share the
-// R_G / R+ structures within a single graph epoch — and demultiplexed
-// back to their waiters, with per-request limit/offset paging over the
-// sealed columnar results. POST /update drives Engine.ApplyUpdates, so
-// in-flight batches stay epoch-consistent under concurrent ingest;
-// GET /explain plans without executing; GET /healthz and GET /metrics
-// expose liveness, the engine's cache counters and the coalescing
-// statistics. See DESIGN.md §10 for the window semantics and the
-// epoch-consistency argument.
+// Every POST /query is served by direct evaluation (coalescer.go): a
+// memo-warm query is answered from the engine's epoch-tagged result
+// memo, any other waits for one of MaxInFlight evaluation slots and is
+// evaluated on the shared engine under its own request's context. The
+// sharing the paper's RTCSharing is built for happens in the engine's
+// shared cache, which builds each R_G / R+ structure and each result
+// once per graph epoch for every concurrent caller. Results are paged
+// per request with limit/offset over the sealed columnar relations.
+// POST /update drives Engine.ApplyUpdates, and every evaluation is
+// pinned to one graph epoch; GET /explain plans without executing;
+// GET /healthz and GET /metrics expose liveness, the engine's cache
+// counters and the admission statistics. See DESIGN.md §10.
 //
 // The package is internal; the public surface is rtcshare.NewServer,
 // rtcshare.Serve and rtcshare.ServerOptions.
@@ -43,49 +41,15 @@ import (
 // Options configure a Server. The zero value gets the documented
 // defaults, filled in by NewServer.
 type Options struct {
-	// Window bounds how long the first query of a batch waits for
-	// company before the batch seals. A positive value fixes the window
-	// (the reproducible behavior benchmarks pin); the default, 0, lets
-	// the adaptive controller tune it from the observed arrival rate
-	// and batch occupancy within [MinWindow, MaxWindow].
-	Window time.Duration
-	// MinWindow and MaxWindow bound the adaptive window controller.
-	// Defaults 100µs and 4ms; ignored when Window > 0.
-	MinWindow time.Duration
-	MaxWindow time.Duration
-	// DisableFastLane turns off the priority fast lane: with it set,
-	// every non-memo-warm query rides a coalescing window, however
-	// cheap. The latency experiment's ablation leg.
-	DisableFastLane bool
-	// FastLaneSlots is the number of reserved fast-lane evaluation
-	// slots. Default 1: one cheap query at a time bypasses the window;
-	// when the lane is busy, cheap queries fall back to the window
-	// (which batches and dedups them). Not a queue — the lane never
-	// convoys.
-	FastLaneSlots int
-	// MaxBatch seals a batch early once it holds this many DISTINCT
-	// queries (deduplicated waiters do not count). Default 64.
-	MaxBatch int
-	// Workers is the fan-out of each batch's EvaluateBatchParallelRel
-	// call. Default 0 = GOMAXPROCS.
-	Workers int
-	// MaxInFlight is the number of sealed batches evaluating
-	// concurrently — the evaluation slots of the admission control.
-	// Default 1: one batch at a time, internally parallel; while it
-	// runs, the next window accumulates.
+	// MaxInFlight is the number of /query evaluations running at once —
+	// the evaluation slots of the admission control. At most 64
+	// requests per slot may wait for one; beyond that a request is
+	// refused with 503. Default GOMAXPROCS.
 	MaxInFlight int
-	// MaxQueuedBatches bounds the sealed batches awaiting a slot;
-	// beyond it new batches are rejected with 503. Default 8.
-	MaxQueuedBatches int
-	// RequestTimeout bounds how long one /query request waits for its
-	// result before giving up with 503 (the evaluation itself is not
-	// interrupted — its result still serves the batch's other waiters
-	// and warms the cache). Default 30s.
+	// RequestTimeout bounds one /query request, slot wait and
+	// evaluation together; an expired request answers 503 and its
+	// evaluation stops at the engine's next checkpoint. Default 30s.
 	RequestTimeout time.Duration
-	// DisableCoalescing evaluates every request immediately on the
-	// shared engine, skipping the window — the serve experiment's
-	// baseline leg.
-	DisableCoalescing bool
 	// Persist, when set, routes POST /update through the persistent
 	// engine (apply + durable WAL append, plus its automatic-snapshot
 	// policy) and enables POST /admin/snapshot and the /metrics
@@ -114,32 +78,8 @@ type Options struct {
 
 // withDefaults fills the zero fields with the documented defaults.
 func (o Options) withDefaults() Options {
-	if o.Window < 0 {
-		o.Window = 0 // adaptive
-	}
-	if o.MinWindow <= 0 {
-		o.MinWindow = 100 * time.Microsecond
-	}
-	if o.MaxWindow <= 0 {
-		o.MaxWindow = 4 * time.Millisecond
-	}
-	if o.MaxWindow < o.MinWindow {
-		o.MaxWindow = o.MinWindow
-	}
-	if o.FastLaneSlots <= 0 {
-		o.FastLaneSlots = 1
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 1
-	}
-	if o.MaxQueuedBatches <= 0 {
-		o.MaxQueuedBatches = 8
+		o.MaxInFlight = runtime.GOMAXPROCS(0)
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
@@ -153,10 +93,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the rpqd HTTP handler: the batch coalescer plus the
+// Server is the rpqd HTTP handler: the /query admission path plus the
 // /query, /update, /explain, /healthz and /metrics endpoints over one
 // engine. Create one with New, serve it with net/http, and Close it to
-// drain the coalescer on shutdown.
+// drain in-flight queries on shutdown.
 type Server struct {
 	engine Engine
 	opts   Options
@@ -166,7 +106,7 @@ type Server struct {
 	lat    latencyRecorder
 
 	// draining flips on Close so /healthz reports the shutdown to load
-	// balancers while in-flight batches finish.
+	// balancers while in-flight queries finish.
 	draining atomic.Bool
 
 	// Streaming-delivery counters, published under /metrics "streaming".
@@ -271,9 +211,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close drains the coalescer: in-flight and pending batches finish and
-// answer their waiters, new queries are rejected with 503, /healthz
-// flips to "draining", and the degraded-probe loop stops. It does not
+// Close drains the server: in-flight queries finish and answer their
+// clients, new queries are rejected with 503, /healthz flips to
+// "draining", and the degraded-probe loop stops. It does not
 // close HTTP listeners — pair it with http.Server.Shutdown, as
 // rtcshare.Serve does.
 func (s *Server) Close() error {
@@ -327,13 +267,11 @@ type QueryResponse struct {
 	// Offset echoes the effective offset; Count is len(Pairs).
 	Offset int `json:"offset"`
 	Count  int `json:"count"`
-	// Path is how the request was served: "fast_path" (result memo),
-	// "fast_lane" (cheap-classified, reserved slot), "windowed"
-	// (coalescing batch) or "direct" (coalescing disabled).
+	// Path is how the request was served: "fast_path" (result memo) or
+	// "evaluated" (an evaluation slot and the engine).
 	Path string `json:"path"`
-	// Stages is the per-stage latency breakdown of this request; the
-	// stages partition WallNS (fast-path hits do no attributed work, so
-	// theirs is near-empty).
+	// Stages is the per-stage latency breakdown of this request: the
+	// stages are consecutive intervals of WallNS and partition it.
 	Stages core.StageTimer `json:"stages"`
 	// WallNS is the server-measured wall time of the request, from
 	// handler entry to response encoding.
@@ -412,7 +350,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		cur = &c
 	}
 
-	res := s.coal.submit(ctx, req.Query, expr)
+	// The stages are consecutive intervals of one clock: decode runs to
+	// here, submit covers queue and engine up to res.done, and page runs
+	// from there to the wall-clock stop.
+	decoded := time.Now()
+	res := s.coal.submit(ctx, req.Query, expr, decoded)
+	res.stages.DecodeNS = decoded.Sub(handlerStart).Nanoseconds()
 	if res.err != nil {
 		status := queryStatus(res.err)
 		if status == http.StatusServiceUnavailable {
@@ -438,18 +381,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.cursorResumes.Add(1)
 	}
 
-	pageStart := time.Now()
 	page := res.rel.Page(offset, req.Limit)
 	pairs := make([][2]graph.VID, len(page))
 	for i, p := range page {
 		pairs[i] = [2]graph.VID{p.Src, p.Dst}
 	}
-	res.stages.PageNS += time.Since(pageStart).Nanoseconds()
 	next := ""
 	if end := offset + len(page); end < res.rel.Len() && req.Limit > 0 {
 		next = encodeCursor(res.epoch, uint64(end), req.Query)
 	}
-	wall := time.Since(handlerStart)
+	stop := time.Now()
+	res.stages.PageNS = stop.Sub(res.done).Nanoseconds()
+	wall := stop.Sub(handlerStart)
 	s.lat.observe(res.path, wall, &res.stages)
 	writeJSON(w, http.StatusOK, QueryResponse{
 		Query:      req.Query,
@@ -815,7 +758,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// Draining outranks degraded: the process is leaving the pool
 		// either way, and a load balancer must stop routing to it.
 		resp.Status = "draining"
-		resp.Reason = "server closing: in-flight batches finishing, new queries shed"
+		resp.Reason = "server closing: in-flight queries finishing, new queries shed"
 		status = http.StatusServiceUnavailable
 	case s.opts.Persist != nil:
 		if degraded, reason, since := s.opts.Persist.Degraded(); degraded {
@@ -855,31 +798,21 @@ type TimingInfo struct {
 }
 
 // LatencyInfo is the /metrics latency section: request-latency
-// histograms (overall, split by serving path, and per pipeline stage)
-// plus the coalescing controller's gauges. All histogram fields are
-// HistogramStats; the section's key set is stable whether or not any
-// requests have been observed.
+// histograms, overall, split by serving path, and per pipeline stage.
+// All fields are HistogramStats; the section's key set is stable
+// whether or not any requests have been observed.
 type LatencyInfo struct {
-	// Overall covers every /query request; FastPath, FastLane, Windowed,
-	// Direct, Ask, Streamed and Witness split it by serving path.
-	Overall  HistogramStats `json:"overall"`
-	FastPath HistogramStats `json:"fast_path"`
-	FastLane HistogramStats `json:"fast_lane"`
-	Windowed HistogramStats `json:"windowed"`
-	Direct   HistogramStats `json:"direct"`
-	Ask      HistogramStats `json:"ask"`
-	Streamed HistogramStats `json:"streamed"`
-	Witness  HistogramStats `json:"witness"`
+	// Overall covers every /query request; FastPath, Evaluated, Ask,
+	// Streamed and Witness split it by serving path.
+	Overall   HistogramStats `json:"overall"`
+	FastPath  HistogramStats `json:"fast_path"`
+	Evaluated HistogramStats `json:"evaluated"`
+	Ask       HistogramStats `json:"ask"`
+	Streamed  HistogramStats `json:"streamed"`
+	Witness   HistogramStats `json:"witness"`
 	// Stages holds one histogram per pipeline stage, counting requests
 	// in which the stage ran.
 	Stages StageHistograms `json:"stages"`
-	// ArrivalRateQPS and BatchOccupancy are the adaptive controller's
-	// rolling estimates; WindowMode is "fixed" or "adaptive";
-	// CurrentWindowMS is the window the controller would open now.
-	ArrivalRateQPS  float64 `json:"arrival_rate_qps"`
-	BatchOccupancy  float64 `json:"batch_occupancy"`
-	WindowMode      string  `json:"window_mode"`
-	CurrentWindowMS float64 `json:"current_window_ms"`
 }
 
 // RuntimeInfo is the /metrics runtime section: the Go runtime's vitals,
@@ -911,7 +844,7 @@ func runtimeInfo() RuntimeInfo {
 	return info
 }
 
-// Metrics is the body of GET /metrics: the coalescing statistics, the
+// Metrics is the body of GET /metrics: the admission statistics, the
 // shared cache's counters (including the epoch and the CrossEpochHits
 // tripwire), the engine's timing split and the graph shape.
 type Metrics struct {
@@ -934,11 +867,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 	g := s.engine.Graph()
 	st := s.engine.Stats()
 	calibFactor, calibSamples := s.engine.CostCalibration()
-	rate, occupancy, window := s.coal.ctrl.gauges()
-	mode := "fixed"
-	if s.coal.ctrl.adaptive() {
-		mode = "adaptive"
-	}
 	return Metrics{
 		Epoch: s.engine.Epoch(),
 		Graph: GraphInfo{
@@ -960,19 +888,13 @@ func (s *Server) MetricsSnapshot() Metrics {
 			CostCalibrationSamples: calibSamples,
 		},
 		Latency: LatencyInfo{
-			Overall:         s.lat.overall.snapshot(),
-			FastPath:        s.lat.fastPath.snapshot(),
-			FastLane:        s.lat.fastLane.snapshot(),
-			Windowed:        s.lat.windowed.snapshot(),
-			Direct:          s.lat.direct.snapshot(),
-			Ask:             s.lat.ask.snapshot(),
-			Streamed:        s.lat.streamed.snapshot(),
-			Witness:         s.lat.witness.snapshot(),
-			Stages:          s.lat.stages(),
-			ArrivalRateQPS:  rate,
-			BatchOccupancy:  occupancy,
-			WindowMode:      mode,
-			CurrentWindowMS: float64(window) / nsPerMS,
+			Overall:   s.lat.overall.snapshot(),
+			FastPath:  s.lat.fastPath.snapshot(),
+			Evaluated: s.lat.evaluated.snapshot(),
+			Ask:       s.lat.ask.snapshot(),
+			Streamed:  s.lat.streamed.snapshot(),
+			Witness:   s.lat.witness.snapshot(),
+			Stages:    s.lat.stages(),
 		},
 		Streaming: StreamingInfo{
 			Streams:       s.streams.Load(),

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -96,7 +97,7 @@ func TestServerQueryMatchesSerial(t *testing.T) {
 		want[q] = rel
 	}
 
-	_, ts := testServer(t, g, Options{Window: time.Millisecond})
+	_, ts := testServer(t, g, Options{})
 
 	const clients = 16
 	var wg sync.WaitGroup
@@ -147,7 +148,7 @@ func TestServerPaging(t *testing.T) {
 		t.Fatalf("fixture query too small to page: %d pairs", full.Len())
 	}
 
-	_, ts := testServer(t, g, Options{Window: time.Millisecond})
+	_, ts := testServer(t, g, Options{})
 	var got []pairs.Pair
 	for offset := 0; ; {
 		resp, status := postQuery(t, ts.URL, QueryRequest{Query: q, Limit: 2, Offset: offset})
@@ -178,7 +179,7 @@ func TestServerPaging(t *testing.T) {
 // is visible to subsequent queries, with an advanced epoch.
 func TestServerUpdateEndpoint(t *testing.T) {
 	g := fixtures.Figure1()
-	_, ts := testServer(t, g, Options{Window: time.Millisecond})
+	_, ts := testServer(t, g, Options{})
 
 	before, status := postQuery(t, ts.URL, QueryRequest{Query: "e+"})
 	if status != http.StatusOK {
@@ -242,7 +243,7 @@ func TestServerUpdateEndpoint(t *testing.T) {
 // /query form, and the error statuses.
 func TestServerEndpoints(t *testing.T) {
 	g := fixtures.Figure1()
-	_, ts := testServer(t, g, Options{Window: time.Millisecond})
+	_, ts := testServer(t, g, Options{})
 
 	var health HealthResponse
 	getJSON(t, ts.URL+"/healthz", &health)
@@ -318,170 +319,139 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
-// TestCoalescerWindowPartialBatch: the window timer must seal and
-// evaluate a partial batch (far below MaxBatch).
-func TestCoalescerWindowPartialBatch(t *testing.T) {
-	g := fixtures.Figure1()
-	c := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: 20 * time.Millisecond, MaxBatch: 100, Workers: 2,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
-	defer c.close()
-
-	var wg sync.WaitGroup
-	queries := []string{"a", "b·c", "e·f"}
-	results := make([]result, len(queries))
-	start := time.Now()
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q string) {
-			defer wg.Done()
-			results[i] = c.submit(context.Background(), q, rpq.MustParse(q))
-		}(i, q)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("query %d: %v", i, r.err)
-		}
-	}
-	st := c.stats()
-	if st.Batches != 1 || st.SealedByWindow != 1 || st.BatchDistinct != 3 {
-		t.Fatalf("expected one window-sealed batch of 3: %+v", st)
-	}
-	if elapsed < 15*time.Millisecond {
-		t.Fatalf("batch sealed before the window expired: %v", elapsed)
-	}
-}
-
-// TestCoalescerDedup: two waiters on the same query string must ride
-// ONE evaluation and receive the same sealed relation.
+// TestCoalescerDedup: concurrent requests for the same query share one
+// evaluation through the engine's shared cache — no server-side dedup —
+// and receive the same sealed relation.
 func TestCoalescerDedup(t *testing.T) {
 	g := fixtures.Figure1()
+	const q = "d·(b·c)+·c"
+	ref := core.New(g, core.Options{})
+	if _, err := ref.Evaluate(rpq.MustParse(q)); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Cache().Counters()
+
 	engine := core.New(g, core.Options{})
-	c := newCoalescer(engine, Options{
-		Window: 15 * time.Millisecond, MaxBatch: 100, Workers: 2,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
+	// Both requests are evaluated (neither is a memo hit): each enters
+	// the engine and waits in the hook until the other has too.
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	engine.SetEvalHook(func(string) {
+		arrived.Done()
+		arrived.Wait()
 	})
+	c := newCoalescer(engine, Options{MaxInFlight: 2}.withDefaults())
 	defer c.close()
 
-	const q = "d·(b·c)+·c"
 	var wg sync.WaitGroup
 	results := make([]result, 2)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.submit(context.Background(), q, rpq.MustParse(q))
+			results[i] = c.submit(context.Background(), q, rpq.MustParse(q), time.Now())
 		}(i)
 	}
 	wg.Wait()
 
 	for i, r := range results {
 		if r.err != nil {
-			t.Fatalf("waiter %d: %v", i, r.err)
+			t.Fatalf("request %d: %v", i, r.err)
+		}
+		if r.path != pathEvaluated {
+			t.Fatalf("request %d took path %v, want evaluated", i, r.path)
 		}
 	}
-	if results[0].rel != results[1].rel {
-		t.Fatalf("dedup waiters got different relations")
+	if results[0].rel != results[1].rel || results[0].epoch != results[1].epoch {
+		t.Fatal("concurrent identical requests got different relations or epochs")
 	}
-	if results[0].epoch != results[1].epoch {
-		t.Fatalf("dedup waiters got different epochs")
-	}
-	st := c.stats()
-	if st.DedupHits != 1 || st.BatchDistinct != 1 || st.BatchQueries != 2 {
-		t.Fatalf("expected 1 dedup hit on 1 distinct query with 2 waiters: %+v", st)
+	got := engine.Cache().Counters()
+	if got.Misses != want.Misses || got.RelMisses != want.RelMisses {
+		t.Fatalf("two concurrent requests computed %d structures and %d relations, one evaluation computes %d and %d",
+			got.Misses, got.RelMisses, want.Misses, want.RelMisses)
 	}
 }
 
-// TestCoalescerSizeSeal: reaching MaxBatch distinct queries seals the
-// batch long before the window expires.
-func TestCoalescerSizeSeal(t *testing.T) {
-	g := fixtures.Figure1()
-	c := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: 10 * time.Second, MaxBatch: 2, Workers: 2,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
-	defer c.close()
+// TestCoalescerAdmission: with the only evaluation slot busy and the
+// waiter bound full, one more request is rejected with ErrOverloaded;
+// the waiters are then served, and after close submits are rejected with
+// ErrShuttingDown.
+func TestCoalescerAdmission(t *testing.T) {
+	eng := newGatedEngine(fixtures.Figure1())
+	c := newCoalescer(eng, Options{MaxInFlight: 1}.withDefaults())
 
 	var wg sync.WaitGroup
-	for _, q := range []string{"a", "b"} {
+	errs := make(chan error, waitersPerSlot+1)
+	for i := 0; i <= waitersPerSlot; i++ {
 		wg.Add(1)
-		go func(q string) {
+		go func() {
 			defer wg.Done()
-			if r := c.submit(context.Background(), q, rpq.MustParse(q)); r.err != nil {
-				t.Errorf("%s: %v", q, r.err)
+			if r := c.submit(context.Background(), "a", rpq.MustParse("a"), time.Now()); r.err != nil {
+				errs <- r.err
 			}
-		}(q)
+		}()
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("size-capped batch did not seal before the window")
-	}
-	if st := c.stats(); st.SealedBySize != 1 {
-		t.Fatalf("expected a size seal: %+v", st)
-	}
-}
-
-// TestCoalescerAdmission: with zero evaluation slots and a zero-length
-// queue, a sealed batch is rejected with ErrOverloaded; after close,
-// submits are rejected with ErrShuttingDown.
-func TestCoalescerAdmission(t *testing.T) {
-	g := fixtures.Figure1()
-	c := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: time.Millisecond, MaxBatch: 1, Workers: 1,
-		MaxInFlight: 0, MaxQueuedBatches: 0,
+	<-eng.entered
+	eventually(t, 5*time.Second, "waiter bound filled", func() bool {
+		return c.waiting.Load() == waitersPerSlot
 	})
-	r := c.submit(context.Background(), "a", rpq.MustParse("a"))
+	r := c.submit(context.Background(), "b", rpq.MustParse("b"), time.Now())
 	if !errors.Is(r.err, ErrOverloaded) {
 		t.Fatalf("expected ErrOverloaded, got %v", r.err)
 	}
-	if st := c.stats(); st.Rejected == 0 {
+	if st := c.stats(); st.Rejected != 1 {
 		t.Fatalf("rejection not counted: %+v", st)
 	}
+
+	close(eng.gate)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("a waiter within the bound failed: %v", err)
+	}
 	c.close()
-	r = c.submit(context.Background(), "a", rpq.MustParse("a"))
+	r = c.submit(context.Background(), "a", rpq.MustParse("a"), time.Now())
 	if !errors.Is(r.err, ErrShuttingDown) {
 		t.Fatalf("expected ErrShuttingDown after close, got %v", r.err)
 	}
 }
 
-// TestCoalescerRequestTimeout: a waiter whose context expires while the
-// window is still open walks away with the context error.
+// TestCoalescerRequestTimeout: a request whose deadline passes
+// mid-evaluation leaves with the deadline error, is counted abandoned
+// rather than as an evaluation error, and frees its slot.
 func TestCoalescerRequestTimeout(t *testing.T) {
-	g := fixtures.Figure1()
-	c := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: 500 * time.Millisecond, MaxBatch: 100, Workers: 1,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
+	eng := newGatedEngine(fixtures.Figure1())
+	c := newCoalescer(eng, Options{MaxInFlight: 1}.withDefaults())
 	defer c.close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	r := c.submit(ctx, "a", rpq.MustParse("a"))
+	r := c.submit(ctx, "a", rpq.MustParse("a"), start)
 	if !errors.Is(r.err, context.DeadlineExceeded) {
 		t.Fatalf("expected DeadlineExceeded, got %v", r.err)
 	}
-	if time.Since(start) > 200*time.Millisecond {
-		t.Fatalf("timed-out waiter blocked for the whole window")
+	if time.Since(start) > 2*time.Second {
+		t.Fatal("timed-out request did not return promptly")
 	}
-	if st := c.stats(); st.Abandoned != 1 {
-		t.Fatalf("abandonment not counted: %+v", st)
+	if st := c.stats(); st.Abandoned != 1 || st.EvalErrors != 0 {
+		t.Fatalf("timeout accounting: %+v, want 1 abandoned and no eval errors", st)
+	}
+
+	close(eng.gate)
+	if r := c.submit(context.Background(), "a", rpq.MustParse("a"), time.Now()); r.err != nil {
+		t.Fatalf("the slot was not freed: %v", r.err)
 	}
 }
 
-// TestServerCloseFlushesPending: Close must flush the open window —
-// already-admitted waiters get real results, later submits are
-// rejected.
+// TestServerCloseFlushesPending: Close drains — a query already
+// evaluating finishes with its real result, a query arriving during the
+// drain is rejected with 503, and Close returns only after the
+// in-flight one has answered.
 func TestServerCloseFlushesPending(t *testing.T) {
 	g := fixtures.Figure1()
-	srv := New(core.New(g, core.Options{}), Options{Window: 10 * time.Second, MaxBatch: 100})
+	eng := newGatedEngine(g)
+	srv := New(eng, Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -492,55 +462,63 @@ func TestServerCloseFlushesPending(t *testing.T) {
 		got <- resp
 		status <- st
 	}()
-	// Wait for the request to land in the window, then close.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.coal.stats().Submitted == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("query never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	srv.Close()
+	<-eng.entered // the query holds a slot inside the engine
 
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	eventually(t, 5*time.Second, "admission closed", func() bool {
+		srv.coal.mu.Lock()
+		defer srv.coal.mu.Unlock()
+		return srv.coal.closed
+	})
+	if _, st := postQuery(t, ts.URL, QueryRequest{Query: "a"}); st != http.StatusServiceUnavailable {
+		t.Fatalf("query during drain: status %d, want 503", st)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a query was still evaluating")
+	default:
+	}
+
+	close(eng.gate)
 	select {
 	case resp := <-got:
 		if st := <-status; st != http.StatusOK || resp.Total != 2 {
-			t.Fatalf("flushed query: status %d, total %d", st, resp.Total)
+			t.Fatalf("drained query: status %d, total %d", st, resp.Total)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("flushed waiter never answered")
+		t.Fatal("in-flight query never answered")
 	}
+	<-closed
 	if _, st := postQuery(t, ts.URL, QueryRequest{Query: "a"}); st != http.StatusServiceUnavailable {
 		t.Fatalf("post-close query: status %d, want 503", st)
 	}
 }
 
 // TestCoalescerFastPath: a result memoised at the current epoch is
-// served without forming a batch at all.
+// served without an evaluation slot or an engine evaluation.
 func TestCoalescerFastPath(t *testing.T) {
 	g := fixtures.Figure1()
-	c := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: time.Millisecond, MaxBatch: 100, Workers: 1,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
+	c := newCoalescer(core.New(g, core.Options{}), Options{}.withDefaults())
 	defer c.close()
 
 	const q = "d·(b·c)+·c"
-	first := c.submit(context.Background(), q, rpq.MustParse(q))
+	first := c.submit(context.Background(), q, rpq.MustParse(q), time.Now())
 	if first.err != nil {
 		t.Fatal(first.err)
 	}
-	batchesBefore := c.stats().Batches
-	second := c.submit(context.Background(), q, rpq.MustParse(q))
+	second := c.submit(context.Background(), q, rpq.MustParse(q), time.Now())
 	if second.err != nil {
 		t.Fatal(second.err)
 	}
-	st := c.stats()
-	if st.FastPathHits != 1 {
-		t.Fatalf("expected one fast-path hit: %+v", st)
+	if first.path != pathEvaluated || second.path != pathFastPath {
+		t.Fatalf("paths %v then %v, want evaluated then fast_path", first.path, second.path)
 	}
-	if st.Batches != batchesBefore {
-		t.Fatalf("fast path formed a batch: %+v", st)
+	if st := c.stats(); st.FastPathHits != 1 {
+		t.Fatalf("expected one fast-path hit: %+v", st)
 	}
 	if second.rel != first.rel {
 		t.Fatalf("fast path returned a different relation")
@@ -552,12 +530,12 @@ func TestCoalescerFastPath(t *testing.T) {
 // error paths.
 func TestServerAccessorsAndParamErrors(t *testing.T) {
 	g := fixtures.Figure1()
-	srv, ts := testServer(t, g, Options{Window: time.Millisecond})
+	srv, ts := testServer(t, g, Options{})
 
 	if srv.Engine() == nil || srv.Engine().Graph().NumVertices() != 10 {
 		t.Fatal("Engine accessor broken")
 	}
-	if got := srv.Options(); got.Window != time.Millisecond || got.MaxBatch != 64 {
+	if got := srv.Options(); got.MaxInFlight != runtime.GOMAXPROCS(0) || got.RequestTimeout != 30*time.Second {
 		t.Fatalf("Options accessor lost the effective options: %+v", got)
 	}
 
@@ -608,17 +586,14 @@ func TestServerAccessorsAndParamErrors(t *testing.T) {
 }
 
 // TestCoalescerErrorIsolation: a query failing at evaluation time must
-// not fail the valid queries co-batched with it — each waiter gets its
-// own per-query outcome.
+// not fail the valid queries served concurrently with it — each request
+// gets its own outcome.
 func TestCoalescerErrorIsolation(t *testing.T) {
 	g := fixtures.Figure1()
 	// MaxDNFClauses 1 makes any alternation-heavy query fail at
 	// evaluation (parse-valid, DNF-bound error).
 	engine := core.New(g, core.Options{MaxDNFClauses: 1})
-	c := newCoalescer(engine, Options{
-		Window: 15 * time.Millisecond, MaxBatch: 100, Workers: 2,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
+	c := newCoalescer(engine, Options{}.withDefaults())
 	defer c.close()
 
 	queries := []string{"a", "(a|b)·(c|d)", "b·c"}
@@ -628,7 +603,7 @@ func TestCoalescerErrorIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(i int, q string) {
 			defer wg.Done()
-			results[i] = c.submit(context.Background(), q, rpq.MustParse(q))
+			results[i] = c.submit(context.Background(), q, rpq.MustParse(q), time.Now())
 		}(i, q)
 	}
 	wg.Wait()
@@ -649,38 +624,31 @@ func TestCoalescerErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestCoalescerClosedAllPaths: after close, every admission path —
-// window, fast path (warm memo), and DisableCoalescing — rejects with
+// TestCoalescerClosedAllPaths: after close, both admission paths — the
+// fast path (warm memo) and evaluation (cold query) — reject with
 // ErrShuttingDown.
 func TestCoalescerClosedAllPaths(t *testing.T) {
 	g := fixtures.Figure1()
 	const q = "d·(b·c)+·c"
 
 	engine := core.New(g, core.Options{})
-	c := newCoalescer(engine, Options{
-		Window: time.Millisecond, MaxBatch: 100, Workers: 1,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
+	c := newCoalescer(engine, Options{}.withDefaults())
 	// Warm the result memo so a post-close submit would hit the fast
 	// path if it were allowed to.
-	if r := c.submit(context.Background(), q, rpq.MustParse(q)); r.err != nil {
+	if r := c.submit(context.Background(), q, rpq.MustParse(q), time.Now()); r.err != nil {
 		t.Fatal(r.err)
 	}
 	if _, _, ok := engine.CachedResult(rpq.MustParse(q)); !ok {
 		t.Fatal("memo did not warm")
 	}
 	c.close()
-	if r := c.submit(context.Background(), q, rpq.MustParse(q)); !errors.Is(r.err, ErrShuttingDown) {
-		t.Fatalf("fast path served after close: %v", r.err)
+	for _, q := range []string{q, "b·c"} {
+		if r := c.submit(context.Background(), q, rpq.MustParse(q), time.Now()); !errors.Is(r.err, ErrShuttingDown) {
+			t.Fatalf("%s served after close: %v", q, r.err)
+		}
 	}
-
-	d := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: time.Millisecond, MaxBatch: 100, Workers: 1,
-		MaxInFlight: 1, MaxQueuedBatches: 4, DisableCoalescing: true,
-	})
-	d.close()
-	if r := d.submit(context.Background(), q, rpq.MustParse(q)); !errors.Is(r.err, ErrShuttingDown) {
-		t.Fatalf("DisableCoalescing path served after close: %v", r.err)
+	if st := c.stats(); st.Rejected != 2 {
+		t.Fatalf("post-close rejections not counted: %+v", st)
 	}
 }
 
@@ -688,7 +656,7 @@ func TestCoalescerClosedAllPaths(t *testing.T) {
 // panic the handler.
 func TestServerHugeLimit(t *testing.T) {
 	g := fixtures.Figure1()
-	_, ts := testServer(t, g, Options{Window: time.Millisecond})
+	_, ts := testServer(t, g, Options{})
 	resp, status := postQuery(t, ts.URL, QueryRequest{Query: "(b·c)+", Limit: int(^uint(0) >> 1), Offset: 1})
 	if status != http.StatusOK {
 		t.Fatalf("huge limit: status %d", status)

@@ -51,7 +51,7 @@ func TestServerCursorPaging(t *testing.T) {
 		t.Fatalf("fixture result too small to page: %d pairs", want.Len())
 	}
 
-	srv, ts := testServer(t, g, Options{DisableCoalescing: true})
+	srv, ts := testServer(t, g, Options{})
 
 	first, status := postQuery(t, ts.URL, QueryRequest{Query: query, Limit: 3})
 	if status != http.StatusOK {
@@ -100,7 +100,7 @@ func TestServerCursorPaging(t *testing.T) {
 // the rejection is cheap.
 func TestServerCursorInvalid(t *testing.T) {
 	g := fixtures.Figure1()
-	_, ts := testServer(t, g, Options{DisableCoalescing: true})
+	_, ts := testServer(t, g, Options{})
 	const query = "(b.c)+"
 
 	valid := encodeCursor(0, 2, query)
@@ -128,7 +128,7 @@ func TestServerCursorInvalid(t *testing.T) {
 // page inconsistent with the earlier ones.
 func TestServerCursorEpochGone(t *testing.T) {
 	g := fixtures.Figure1()
-	srv, ts := testServer(t, g, Options{DisableCoalescing: true})
+	srv, ts := testServer(t, g, Options{})
 	const query = "(b.c)+"
 
 	first, status := postQuery(t, ts.URL, QueryRequest{Query: query, Limit: 3})
@@ -233,7 +233,7 @@ func TestServerStreamNDJSON(t *testing.T) {
 	serial := core.New(g, core.Options{})
 	queries := []string{"l0", "l0.l1", "(l0|l1).l2*", "l1+", "l2.(l0|l1)+", "l9"}
 
-	srv, ts := testServer(t, g, Options{DisableCoalescing: true, StreamChunk: 16})
+	srv, ts := testServer(t, g, Options{StreamChunk: 16})
 
 	for _, q := range queries {
 		want, err := serial.Evaluate(rpq.MustParse(q))
@@ -367,7 +367,7 @@ func TestServerSSE(t *testing.T) {
 	const q = "(b.c)+"
 	want := mustEval(t, serial, q).Sorted()
 
-	_, ts := testServer(t, g, Options{DisableCoalescing: true, StreamChunk: 4})
+	_, ts := testServer(t, g, Options{StreamChunk: 4})
 
 	resp, err := http.Get(ts.URL + "/query/sse?q=" + url.QueryEscape(q))
 	if err != nil {
@@ -451,7 +451,7 @@ func (r *recordingSink) fail(e streamError) error  { r.fails = append(r.fails, e
 func TestServerStreamEpochLagAbort(t *testing.T) {
 	g := fixtures.Figure1()
 	engine := core.New(g, core.Options{})
-	srv := New(engine, Options{DisableCoalescing: true, StreamMaxLag: 1, StreamChunk: 2})
+	srv := New(engine, Options{StreamMaxLag: 1, StreamChunk: 2})
 	defer srv.Close()
 
 	stream, err := engine.OpenStream(context.Background(), rpq.MustParse("(b.c)+"), core.StreamOptions{})
@@ -504,7 +504,7 @@ func TestServerStreamEpochLagAbort(t *testing.T) {
 // histogram row.
 func TestServerAsk(t *testing.T) {
 	g := fixtures.Figure1()
-	srv, ts := testServer(t, g, Options{DisableCoalescing: true})
+	srv, ts := testServer(t, g, Options{})
 
 	askGet := func(q string) AskResponse {
 		t.Helper()
@@ -570,7 +570,7 @@ func TestServerAsk(t *testing.T) {
 // yields found=false, and the witness path has its own histogram row.
 func TestServerWitness(t *testing.T) {
 	g := fixtures.Figure1()
-	_, ts := testServer(t, g, Options{DisableCoalescing: true})
+	_, ts := testServer(t, g, Options{})
 
 	get := func(q string, src, dst int, wantStatus int) WitnessResponse {
 		t.Helper()
@@ -647,7 +647,7 @@ func TestServerMetricsStreaming(t *testing.T) {
 	serial := core.New(g, core.Options{})
 	want := mustEval(t, serial, "(b.c)+").Len()
 
-	_, ts := testServer(t, g, Options{DisableCoalescing: true, StreamChunk: 4})
+	_, ts := testServer(t, g, Options{StreamChunk: 4})
 
 	for i := 0; i < 3; i++ {
 		resp, err := http.Get(ts.URL + "/query/stream?q=" + url.QueryEscape("(b.c)+"))
@@ -673,7 +673,7 @@ func TestServerMetricsStreaming(t *testing.T) {
 // plain 400 before any stream opens, on both framings and both HTTP
 // methods.
 func TestServerStreamRequestErrors(t *testing.T) {
-	_, ts := testServer(t, fixtures.Figure1(), Options{DisableCoalescing: true})
+	_, ts := testServer(t, fixtures.Figure1(), Options{})
 
 	cases := []struct {
 		name, method, path, body string
@@ -712,7 +712,7 @@ func TestServerStreamRequestErrors(t *testing.T) {
 // engine work happens — same shedding contract as /query.
 func TestServerStreamDraining(t *testing.T) {
 	eng := core.New(fixtures.Figure1(), core.Options{})
-	srv := New(eng, Options{DisableCoalescing: true})
+	srv := New(eng, Options{})
 	srv.Close()
 
 	for _, path := range []string{
@@ -737,7 +737,7 @@ func TestServerStreamDraining(t *testing.T) {
 func TestServerStreamLagOverHTTPSinks(t *testing.T) {
 	g := fixtures.Figure1()
 	engine := core.New(g, core.Options{})
-	srv := New(engine, Options{DisableCoalescing: true, StreamMaxLag: 1, StreamChunk: 4})
+	srv := New(engine, Options{StreamMaxLag: 1, StreamChunk: 4})
 	defer srv.Close()
 
 	q := rpq.MustParse("(b.c)+")

@@ -330,29 +330,26 @@ func EvaluateParallel(g *Graph, query string, workers int) (*Result, error) {
 // *Engine satisfies it.
 type ServerEngine = server.Engine
 
-// Server is the rpqd HTTP/JSON query service over one engine: a batch
-// coalescer admits concurrent POST /query requests into a bounded
-// time/size window, deduplicates them by query string, evaluates the
-// window as ONE engine batch — so unrelated clients share closure
-// structures within a single graph epoch — and demultiplexes the sealed
-// results back to the waiting requests with limit/offset paging.
-// POST /update drives Engine.ApplyUpdates; GET /explain, /healthz and
-// /metrics expose plans, liveness, cache counters and coalescing
-// statistics. A Server is an http.Handler; create one with NewServer
+// Server is the rpqd HTTP/JSON query service over one engine: a
+// POST /query is answered from the engine's result memo when warm, and
+// otherwise evaluated directly on the shared engine once one of
+// MaxInFlight evaluation slots is free — concurrent clients share
+// closure structures and results through the engine's shared cache —
+// with limit/offset paging over the sealed result. POST /update drives
+// Engine.ApplyUpdates; GET /explain, /healthz and /metrics expose plans,
+// liveness, cache counters and admission statistics. A Server is an http.Handler; create one with NewServer
 // and serve it yourself, or use Serve for the whole lifecycle. See
 // DESIGN.md §10.
 type Server = server.Server
 
-// ServerOptions configure a Server: the coalescing window (fixed when
-// positive, adaptive within [MinWindow, MaxWindow] when zero), the
-// distinct-size cap, the priority fast lane (DisableFastLane,
-// FastLaneSlots), the batch fan-out, the admission control (max
-// in-flight batches, queued-batch bound, per-request timeout) and the
-// coalescing-off switch. The zero value gets the documented defaults.
+// ServerOptions configure a Server: the admission control (evaluation
+// slots, per-request timeout), persistence and its degraded-mode probe,
+// and stream delivery (chunk size, epoch-lag bound). The zero value
+// gets the documented defaults.
 type ServerOptions = server.Options
 
 // ServerMetrics is the GET /metrics payload: the graph epoch and shape,
-// the coalescing statistics, the shared-cache counters (including the
+// the admission statistics, the shared-cache counters (including the
 // CrossEpochHits tripwire), the engine's timing split, the latency
 // histograms (ServerLatencyInfo) and the Go runtime vitals
 // (ServerRuntimeInfo).
@@ -360,7 +357,7 @@ type ServerMetrics = server.Metrics
 
 // StageTimer is the per-request latency breakdown a /query response
 // carries (QueryResponse.Stages) and EvaluateRelTimed fills: one
-// nanosecond counter per pipeline stage (queue, coalesce-wait, plan,
+// nanosecond counter per pipeline stage (decode, queue, plan,
 // closure-build, join, seal, page, other). The stages partition the
 // request's wall time.
 type StageTimer = core.StageTimer
@@ -377,9 +374,7 @@ type StageHistograms = server.StageHistograms
 
 // ServerLatencyInfo is the latency section of /metrics: the overall
 // request-latency histogram, its split by serving path (fast_path,
-// fast_lane, windowed, direct), the per-stage histograms, and the
-// adaptive window controller's gauges (arrival rate, batch occupancy,
-// current window).
+// evaluated, ask, streamed, witness) and the per-stage histograms.
 type ServerLatencyInfo = server.LatencyInfo
 
 // ServerRuntimeInfo is the runtime section of /metrics: goroutine
@@ -387,9 +382,9 @@ type ServerLatencyInfo = server.LatencyInfo
 // latency spikes are correlated against.
 type ServerRuntimeInfo = server.RuntimeInfo
 
-// CoalescerStats is the batch coalescer's activity snapshot inside
-// ServerMetrics: admissions, dedup hits, batch sizes and seal reasons,
-// rejections and timeouts.
+// CoalescerStats is the /query admission snapshot inside ServerMetrics
+// (its /metrics key is "coalescer"): submissions, memo hits,
+// rejections, timeouts, evaluation errors, panics and quarantine.
 type CoalescerStats = server.CoalescerStats
 
 // ResultStream is a pull-based, epoch-pinned enumeration of one query's
@@ -438,15 +433,14 @@ type StreamingInfo = server.StreamingInfo
 // NewServer returns the rpqd HTTP handler over engine, typically an
 // *Engine. The engine may be shared with in-process
 // users; updates through either side keep both epoch-consistent. Close
-// the server to drain its coalescer.
+// the server to drain its in-flight queries.
 func NewServer(engine ServerEngine, opts ServerOptions) *Server {
 	return server.New(engine, opts)
 }
 
 // Serve listens on addr and serves the rpqd HTTP API over engine until
 // ctx is cancelled, then shuts down gracefully: the listener closes,
-// in-flight requests and the pending coalescing window finish, and nil
-// is returned. A non-nil error is a listen or serve failure.
+// in-flight requests finish, and nil is returned. A non-nil error is a listen or serve failure.
 func Serve(ctx context.Context, addr string, engine ServerEngine, opts ServerOptions) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
