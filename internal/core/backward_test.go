@@ -18,12 +18,19 @@ import (
 // every batch unit: same Pre, R, Type, Post — only the drive direction
 // differs. This exercises EvalBatchUnitBackward/EvalBatchUnitFullBackward
 // directly, independent of whether the cost-based planner happens to
-// pick them.
+// pick them. The later draws have 65–300 vertices, so the result rows —
+// forward ones keyed by v_i, backward ones keyed by v_l and transposed
+// at seal — span more than one 64-bit word of the row kernel's bitmap.
 func TestBackwardJoinMatchesForward(t *testing.T) {
 	labels := []string{"a", "b", "c"}
-	for seed := int64(0); seed < 25; seed++ {
+	for seed := int64(0); seed < 37; seed++ {
 		rng := rand.New(rand.NewSource(600 + seed))
-		g := fixtures.RandomGraph(rng, 10+rng.Intn(40), 20+rng.Intn(120), labels)
+		n, m := 10+rng.Intn(40), 20+rng.Intn(120)
+		if seed >= 25 {
+			n = 65 + rng.Intn(236)
+			m = 2*n + rng.Intn(4*n)
+		}
+		g := fixtures.RandomGraph(rng, n, m, labels)
 		e := New(g, Options{})
 
 		units := []rpq.BatchUnit{

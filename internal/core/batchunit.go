@@ -25,10 +25,15 @@ import (
 //     vertex), so no per-call re-bucketing happens — the seed executor's
 //     bucketBySrc/bucketByDst live on only in the LayoutMapSet baseline
 //     (batchunit_legacy.go).
-//   - The stamp sets and the ResEq9 tuple buffer come from a per-engine
-//     pool (joinScratch), and results are emitted through pooled
-//     relation builders, so a warm engine's joins run allocation-free up
-//     to the sealed output columns.
+//   - The stamp sets, the ResEq9 tuple buffer, the Post memo and the
+//     result row kernel come from a per-engine pool (joinScratch), so a
+//     warm engine's joins run allocation-free up to the sealed output
+//     columns.
+//   - ResEq10 is emitted in sealed order. The joins produce it one start
+//     vertex at a time, ascending, so each row goes through the
+//     pairs.RowBuilder kernel: a bitmap test-and-set dedups it and a scan
+//     of the touched words writes it sorted into the CSR column, with no
+//     re-bucketing by src and no comparison sort at seal time.
 
 // stampSet is a constant-time set over a dense ID space, cleared in O(1)
 // by bumping the generation.
@@ -67,28 +72,70 @@ func (s *stampSet) add(id int32) bool {
 }
 
 // joinScratch is the pooled working state of one batch-unit join: two
-// stamp sets sized to the vertex space (which bounds the SCC space), the
-// ResEq9 tuple buffer, and the per-unit memo of Post traversals (end
-// vertices packed into one flat buffer, addressed by spans, so repeated
-// traversal results cost no allocation). One join owns a scratch
-// exclusively from acquire to release.
+// stamp sets sized to the vertex space (which bounds the SCC space) for
+// the ResEq7/ResEq8 unions, the ResEq9 tuple buffer, the per-unit memo
+// of Post traversals, and the row kernel that emits ResEq10 in sealed
+// order. One join owns a scratch exclusively from acquire to release.
 type joinScratch struct {
 	seenA, seenB stampSet
 	resEq9       []pairs.Pair
-	endsBuf      []graph.VID
-	endSpans     map[graph.VID]endSpan
+	post         postMemo
+	rows         pairs.RowBuilder
 }
 
-// endSpan addresses one memoised ReachFrom result inside endsBuf.
-type endSpan struct{ start, end int32 }
+// postMemo memoises EvalRestrictedRPQ(Post, v_k) per distinct v_k within
+// one batch unit: end vertices append into one flat buffer, and a
+// VID-indexed span array addresses them. A generation stamp on each
+// span clears the memo in O(1), so repeated traversal results cost
+// neither an allocation nor a hash lookup.
+type postMemo struct {
+	buf   []graph.VID
+	spans []endSpan
+	gen   uint32
+}
+
+// endSpan addresses one memoised ReachFrom result inside postMemo.buf;
+// it is live only while gen matches the memo's.
+type endSpan struct {
+	start, end int32
+	gen        uint32
+}
+
+// reset empties the memo for a vertex space of n.
+func (m *postMemo) reset(n int) {
+	m.buf = m.buf[:0]
+	if len(m.spans) < n {
+		m.spans = make([]endSpan, n)
+		m.gen = 0
+	}
+	m.gen++
+	if m.gen == 0 {
+		clear(m.spans)
+		m.gen = 1
+	}
+}
+
+// ends returns the end vertices of Post paths from vk, traversing with
+// ev on the first request for vk since the last reset.
+func (m *postMemo) ends(ev *eval.Evaluator, vk graph.VID) []graph.VID {
+	sp := &m.spans[vk]
+	if sp.gen != m.gen {
+		start := int32(len(m.buf))
+		m.buf = ev.AppendReachFrom(vk, m.buf)
+		*sp = endSpan{start: start, end: int32(len(m.buf)), gen: m.gen}
+	}
+	return m.buf[sp.start:sp.end]
+}
 
 // acquireScratch checks a join scratch out of the engine pool, sized for
-// the engine's vertex space.
+// the engine's vertex space. Sizing the row kernel also resets it,
+// clearing the bits of any row a cancelled join abandoned mid-way.
 func (e *engineVersion) acquireScratch() *joinScratch {
 	sc := e.scratchPool.Get().(*joinScratch)
 	n := e.g.NumVertices()
 	sc.seenA.ensure(n)
 	sc.seenB.ensure(n)
+	sc.rows.Grow(n)
 	return sc
 }
 
@@ -357,113 +404,79 @@ func (e *engineVersion) EvalBatchUnitFullBackward(preG *pairs.Relation, closure 
 }
 
 // joinPreBackward finishes a backward batch unit: sc.resEq9 holds (v_l,
-// v_j) tuples grouped by v_l, and every Pre_G tuple (v_i, v_j) extends
-// one to a result (v_i, v_l). Like the forward joinPost this is
-// Remainder time (the strategies share it identically); the duplicate
-// check on v_i per v_l mirrors joinPost's on v_l per v_i. Pre_G is
-// walked end-vertex-first through its transposed columns — one lazy
-// build per relation, in place of the seed's per-call re-bucketing.
-// The scratch is released on return.
+// v_j) tuples grouped by ascending v_l, and every Pre_G tuple (v_i, v_j)
+// extends one to a result (v_i, v_l). Like the forward joinPost this is
+// Remainder time (the strategies share it identically); the row
+// kernel's duplicate check on v_i per v_l mirrors joinPost's on v_l per
+// v_i. Pre_G is walked end-vertex-first through its transposed columns
+// — one lazy build per relation, in place of the seed's per-call
+// re-bucketing. The rows are keyed by v_l, so they seal through one
+// transpose into the (v_i, v_l) relation; its runs come out sorted. The
+// scratch is released on return.
 func (e *engineVersion) joinPreBackward(sc *joinScratch, preG *pairs.Relation) (*pairs.Relation, error) {
 	t0 := time.Now()
 	defer func() { e.addRemainder(time.Since(t0)) }()
 	defer e.releaseScratch(sc)
 
-	out := e.acquireBuilder()
-	seenVi := &sc.seenA
+	rows := &sc.rows
 	resEq9 := sc.resEq9
 	for i := 0; i < len(resEq9); {
 		vl := resEq9[i].Src
-		seenVi.reset()
+		rows.Begin(vl)
 		for ; i < len(resEq9) && resEq9[i].Src == vl; i++ {
-			vj := resEq9[i].Dst
-			srcs := preG.SrcsOf(vj)
+			srcs := preG.SrcsOf(resEq9[i].Dst)
 			if err := e.checkpoint(len(srcs) + 1); err != nil {
-				e.releaseBuilder(out)
 				return nil, err
 			}
-			for _, vi := range srcs {
-				if seenVi.add(vi) {
-					out.Add(vi, vl)
-				}
-			}
+			rows.AddAll(srcs)
 		}
+		rows.EndRow()
 	}
-	resEq10 := out.Seal()
-	e.releaseBuilder(out)
-	return resEq10, nil
+	return rows.SealTransposed(), nil
 }
 
 // joinPost implements equations (9)→(10) — Algorithm 2 lines 13–16: for
 // every (v_i, v_k) of the Pre·R{+,*} result, extend by the paths
 // satisfying Post from v_k (EvalRestrictedRPQ), unioning into ResEq10.
 // Both sharing strategies run this identically; it is Remainder time.
-// sc.resEq9 must be grouped by Src, which both join implementations
-// guarantee; the per-v_i duplicate stamps mean every emitted pair is
-// unique, so the result goes straight into a pooled builder and is
-// sealed once. The scratch is released on return.
+// sc.resEq9 must be grouped by ascending Src, which both join
+// implementations guarantee, so each v_i's extensions form one row of
+// the row kernel: its bitmap is the duplicate check of lines 15–16, and
+// the row lands sorted in the sealed column. The scratch is released on
+// return.
 func (e *engineVersion) joinPost(sc *joinScratch, post rpq.Expr) (*pairs.Relation, error) {
 	t0 := time.Now()
 	defer func() { e.addRemainder(time.Since(t0)) }()
 	defer e.releaseScratch(sc)
 
-	out := e.acquireBuilder()
 	_, postIsEps := post.(rpq.Epsilon)
-	var (
-		evalPost *eval.Evaluator
-		// EvalRestrictedRPQ(Post, v_k) memoised per distinct v_k within
-		// the batch unit: end vertices append into the pooled flat
-		// buffer, the memo keeps spans.
-		ends   map[graph.VID]endSpan
-		seenVl = &sc.seenB
-	)
-	sc.endsBuf = sc.endsBuf[:0]
+	var evalPost *eval.Evaluator
 	if !postIsEps {
 		var evalKey string
 		evalPost, evalKey = e.acquireEvaluator(post)
 		defer e.releaseEvaluator(evalKey, evalPost)
-		if sc.endSpans == nil {
-			sc.endSpans = make(map[graph.VID]endSpan)
-		} else {
-			clear(sc.endSpans)
-		}
-		ends = sc.endSpans
+		sc.post.reset(e.g.NumVertices())
 	}
 
+	rows := &sc.rows
 	resEq9 := sc.resEq9
 	for i := 0; i < len(resEq9); {
 		vi := resEq9[i].Src
-		seenVl.reset()
+		rows.Begin(vi)
 		for ; i < len(resEq9) && resEq9[i].Src == vi; i++ {
 			if err := e.checkpoint(1); err != nil {
-				e.releaseBuilder(out)
 				return nil, err
 			}
 			vk := resEq9[i].Dst
 			if postIsEps {
 				// Post = ε: ResEq10 is ResEq9 de-duplicated. Duplicates
 				// only arise from the R* seeding.
-				if seenVl.add(vk) {
-					out.Add(vi, vk)
-				}
+				rows.Add(vk)
 				continue
 			}
-			span, ok := ends[vk]
-			if !ok {
-				span.start = int32(len(sc.endsBuf))
-				sc.endsBuf = evalPost.AppendReachFrom(vk, sc.endsBuf)
-				span.end = int32(len(sc.endsBuf))
-				ends[vk] = span
-			}
-			for _, vl := range sc.endsBuf[span.start:span.end] {
-				// Lines 15–16: duplicate check for (10).
-				if seenVl.add(vl) {
-					out.Add(vi, vl)
-				}
-			}
+			rows.AddAll(sc.post.ends(evalPost, vk))
 		}
+		rows.EndRow()
 	}
-	resEq10 := out.Seal()
-	e.releaseBuilder(out)
-	return resEq10, nil
+	return rows.Seal(), nil
 }

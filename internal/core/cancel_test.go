@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rtcshare/internal/datagen"
+	"rtcshare/internal/eval"
 	"rtcshare/internal/fixtures"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
@@ -17,18 +20,40 @@ import (
 // countingCtx is a context whose Err flips to Canceled after failAfter
 // polls — a deterministic stand-in for "the client walked away
 // mid-evaluation" that also counts exactly how often the engine's
-// checkpoints look at it.
+// checkpoints look at it, and records where the first failing poll
+// happened.
 type countingCtx struct {
 	context.Context
 	polls     atomic.Int64
 	failAfter int64
+	failedAt  []uintptr // call stack of the first failing poll
 }
 
 func (c *countingCtx) Err() error {
-	if c.polls.Add(1) > c.failAfter {
-		return context.Canceled
+	n := c.polls.Add(1)
+	if n <= c.failAfter {
+		return nil
 	}
-	return nil
+	if n == c.failAfter+1 {
+		pcs := make([]uintptr, 64)
+		c.failedAt = pcs[:runtime.Callers(2, pcs)]
+	}
+	return context.Canceled
+}
+
+// failedIn reports whether the first failing poll ran inside a function
+// whose qualified name ends in fn.
+func (c *countingCtx) failedIn(fn string) bool {
+	frames := runtime.CallersFrames(c.failedAt)
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, fn) {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
 }
 
 // heavyFixture returns a fresh engine over a graph, with a query,
@@ -74,7 +99,8 @@ func TestCancellationStopsWithinOneCheckpoint(t *testing.T) {
 	e, q := heavyFixture(t)
 
 	full := &countingCtx{Context: context.Background(), failAfter: 1 << 62}
-	if _, _, err := e.EvaluateRelTimedCtx(full, q, nil); err != nil {
+	want, _, err := e.EvaluateRelTimedCtx(full, q, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	total := full.polls.Load()
@@ -88,7 +114,7 @@ func TestCancellationStopsWithinOneCheckpoint(t *testing.T) {
 	cold, _ := heavyFixture(t)
 	const failAfter = 3
 	cc := &countingCtx{Context: context.Background(), failAfter: failAfter}
-	_, _, err := cold.EvaluateRelTimedCtx(cc, q, nil)
+	_, _, err = cold.EvaluateRelTimedCtx(cc, q, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -96,10 +122,111 @@ func TestCancellationStopsWithinOneCheckpoint(t *testing.T) {
 		t.Fatalf("evaluation kept running for %d polls after cancellation at poll %d", polls-failAfter, failAfter)
 	}
 
-	// The engine must be unharmed: the same query evaluates cleanly —
-	// the aborted run must not have cached a partial result.
-	if _, _, err := cold.EvaluateRelTimedCtx(context.Background(), q, nil); err != nil {
+	// The engine must be unharmed: the same query evaluates to the
+	// uncancelled answer — the aborted run must not have cached a partial
+	// result or left pooled scratch dirty. (The heavy fixture is too big
+	// for eval.Reference; TestCancelledRerunMatchesReference checks the
+	// same property against it on a smaller graph.)
+	got, _, err := cold.EvaluateRelTimedCtx(context.Background(), q, nil)
+	if err != nil {
 		t.Fatalf("evaluation after a cancelled run: %v", err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("evaluation after a cancelled run: %d pairs, want %d", got.Len(), want.Len())
+	}
+}
+
+// TestCancelledRerunMatchesReference sweeps the cancelling poll across a
+// whole sealed evaluation and a whole live stream, and after every abort
+// re-runs the query on the same engine against eval.Reference. An abort
+// inside joinPost leaves a row half-built in a pooled row kernel; a bit
+// that survived into the next use would drop pairs from the re-run
+// silently, which only an answer check sees. The sealed half attaches
+// the context to the engine itself rather than through
+// EvaluateRelTimedCtx, whose private fork has pools of its own: the
+// re-run must draw from the pool the aborted run released into. A
+// stream always runs on a private fork, so its half checks that an abort
+// inside a row is clean and the next stream right.
+func TestCancelledRerunMatchesReference(t *testing.T) {
+	g, err := datagen.RMAT(datagen.RMATConfig{Vertices: 300, Edges: 1800, Labels: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := rpq.MustParse("(l0|l1)+.(l1|l2)+")
+	want := pairs.RelationFromSet(g.NumVertices(), eval.Reference(g, q))
+
+	// evalWith runs q on e with ctx attached for the evaluation only.
+	evalWith := func(e *Engine, ctx context.Context) (*pairs.Relation, error) {
+		e.setCancel(ctx)
+		defer e.setCancel(nil)
+		return e.Evaluate(q)
+	}
+
+	// Sealed evaluation: every poll of the uncancelled run, in turn.
+	probe := &countingCtx{Context: context.Background(), failAfter: 1 << 62}
+	if _, err := evalWith(New(g, Options{}), probe); err != nil {
+		t.Fatal(err)
+	}
+	inJoinPost := 0
+	for failAfter := int64(0); failAfter < probe.polls.Load(); failAfter++ {
+		e := New(g, Options{})
+		cc := &countingCtx{Context: context.Background(), failAfter: failAfter}
+		if _, err := evalWith(e, cc); !errors.Is(err, context.Canceled) {
+			t.Fatalf("failAfter %d: err = %v, want context.Canceled", failAfter, err)
+		}
+		if cc.failedIn(".joinPost") {
+			inJoinPost++
+		}
+		got, err := e.Evaluate(q)
+		if err != nil {
+			t.Fatalf("failAfter %d: re-run: %v", failAfter, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("failAfter %d: re-run has %d pairs, reference %d", failAfter, got.Len(), want.Len())
+		}
+	}
+	if inJoinPost == 0 {
+		t.Fatal("no cancellation landed inside joinPost")
+	}
+
+	// Live stream: the same sweep over open and drain.
+	sprobe := &countingCtx{Context: context.Background(), failAfter: 1 << 62}
+	s, err := New(g, Options{}).OpenStream(sprobe, q, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainStream(t, s, 97)
+	inRow := 0
+	for failAfter := int64(0); failAfter < sprobe.polls.Load(); failAfter++ {
+		e := New(g, Options{})
+		cc := &countingCtx{Context: context.Background(), failAfter: failAfter}
+		s, err := e.OpenStream(cc, q, StreamOptions{})
+		if err == nil {
+			buf := make([]pairs.Pair, 97)
+			for err == nil {
+				var done bool
+				if _, done, err = s.Next(buf); done && err == nil {
+					t.Fatalf("failAfter %d: stream drained without cancelling", failAfter)
+				}
+			}
+			s.Close()
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("failAfter %d: stream err = %v, want context.Canceled", failAfter, err)
+		}
+		if cc.failedIn(".fillRun") {
+			inRow++
+		}
+		s, err = e.OpenStream(context.Background(), q, StreamOptions{})
+		if err != nil {
+			t.Fatalf("failAfter %d: re-opened stream: %v", failAfter, err)
+		}
+		if got := drainStream(t, s, 97); !pairsEqual(got, want.Sorted()) {
+			t.Fatalf("failAfter %d: re-streamed %d pairs, reference %d", failAfter, len(got), want.Len())
+		}
+	}
+	if inRow == 0 {
+		t.Fatal("no cancellation landed inside a stream row")
 	}
 }
 

@@ -275,11 +275,12 @@ type engineVersion struct {
 	subSets map[string]*pairs.Set
 	subRels map[string]*pairs.Relation
 
-	// scratchPool holds joinScratch values — the generation-stamped sets
-	// and tuple buffers of the batch-unit joins — and builderPool holds
-	// relation builders sized to this version's vertex space. Both are
-	// version-local free lists: steady-state batch evaluation reuses the
-	// same columns instead of allocating per call.
+	// scratchPool holds joinScratch values — the generation-stamped sets,
+	// tuple buffers, Post memo and result row kernel of the batch-unit
+	// joins — and builderPool holds relation builders sized to this
+	// version's vertex space for the producers that emit out of src
+	// order. Both are version-local free lists: steady-state batch
+	// evaluation reuses the same columns instead of allocating per call.
 	scratchPool sync.Pool
 	builderPool sync.Pool
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"slices"
 
 	"rtcshare/internal/eval"
 	"rtcshare/internal/graph"
@@ -27,10 +26,10 @@ import (
 // Determinism is the load-bearing property: a stream, a sealed
 // evaluation and a cursor-resumed page over the same graph epoch must
 // agree pair-for-pair, prefix included. The per-source re-drive gives
-// that for free — Builder.Seal sorts by (src, dst) and dedups, and the
-// stream emits the same set grouped by ascending source with a
-// per-source sort+dedup — which the differential streaming suite
-// enforces across layouts and planners.
+// that for free — sealed evaluation and the stream both emit each
+// source's run through the same pairs.RowBuilder kernel, ascending and
+// duplicate-free, sources in ascending order — which the differential
+// streaming suite enforces across layouts and planners.
 
 // ErrStreamClosed is returned by Next after Close.
 var ErrStreamClosed = errors.New("core: result stream closed")
@@ -74,7 +73,7 @@ type ResultStream struct {
 	sealedPos int
 
 	clauses []*clauseStream
-	scratch *joinScratch // seenA = cross-clause per-source dedup
+	scratch *joinScratch // rows = the per-source run, deduplicated across clauses
 
 	nextSrc int
 	curSrc  graph.VID
@@ -110,7 +109,7 @@ type clauseStream struct {
 	postEv    *eval.Evaluator
 	postKey   string
 
-	sc   *joinScratch // seenA/seenB = per-source ResEq7/ResEq8 stamps
+	sc   *joinScratch // seenA/seenB = per-source ResEq7/ResEq8 stamps; post = the Post memo
 	mids []graph.VID  // per-source Pre⋈R{+,*} frontier
 }
 
@@ -262,16 +261,11 @@ func (s *ResultStream) openClause(cp *plan.ClausePlan) (*clauseStream, error) {
 	}
 	cs.post = bu.Post
 	_, cs.postIsEps = bu.Post.(rpq.Epsilon)
+	cs.sc = v.acquireScratch()
 	if !cs.postIsEps {
 		cs.postEv, cs.postKey = v.acquireEvaluator(bu.Post)
+		cs.sc.post.reset(v.g.NumVertices())
 	}
-	cs.sc = v.acquireScratch()
-	if cs.sc.endSpans == nil {
-		cs.sc.endSpans = make(map[graph.VID]endSpan)
-	} else {
-		clear(cs.sc.endSpans)
-	}
-	cs.sc.endsBuf = cs.sc.endsBuf[:0]
 	return cs, nil
 }
 
@@ -363,24 +357,24 @@ func (s *ResultStream) nextSealed(buf []pairs.Pair) (int, bool, error) {
 // run, built without sealing. Sets s.done when sources are exhausted.
 func (s *ResultStream) fillRun() error {
 	numV := s.v.g.NumVertices()
-	seen := &s.scratch.seenA
+	rows := &s.scratch.rows
 	for s.nextSrc < numV {
 		vi := graph.VID(s.nextSrc)
 		s.nextSrc++
 		if err := s.worker.checkpoint(1); err != nil {
 			return err
 		}
-		s.run = s.run[:0]
-		seen.reset()
+		// One row at a time: Reset drops the drained run, so the kernel
+		// holds only the current source's destinations.
+		rows.Reset()
+		rows.Begin(vi)
 		for _, cs := range s.clauses {
-			var err error
-			s.run, err = cs.appendDsts(s, vi, s.run, seen)
-			if err != nil {
+			if err := cs.appendDsts(s, vi, rows); err != nil {
 				return err
 			}
 		}
+		s.run = rows.EndRow()
 		if len(s.run) > 0 {
-			slices.Sort(s.run)
 			s.curSrc = vi
 			s.runPos = 0
 			s.stats.Sources++
@@ -391,31 +385,27 @@ func (s *ResultStream) fillRun() error {
 	return nil
 }
 
-// appendDsts appends source vi's destinations under this clause to out,
-// deduplicating across clauses through seen. It is the per-source slice
-// of exactly the work EvalBatchUnit/EvalBatchUnitFull + joinPost (or
-// AppendAllSeeded, for automaton plans) perform for vi.
-func (cs *clauseStream) appendDsts(s *ResultStream, vi graph.VID, out []graph.VID, seen *stampSet) ([]graph.VID, error) {
+// appendDsts adds source vi's destinations under this clause to the open
+// row of rows, whose bitmap deduplicates across clauses. It is the
+// per-source slice of exactly the work EvalBatchUnit/EvalBatchUnitFull +
+// joinPost (or AppendAllSeeded, for automaton plans) perform for vi.
+func (cs *clauseStream) appendDsts(s *ResultStream, vi graph.VID, rows *pairs.RowBuilder) error {
 	if cs.cp.Kind == plan.KindAutomaton {
 		if cs.seedable != nil && !cs.seedable[vi] {
-			return out, nil
+			return nil
 		}
 		cs.mids = cs.ev.AppendReachFrom(vi, cs.mids[:0])
 		s.stats.Rows += int64(len(cs.mids))
-		for _, dst := range cs.mids {
-			if seen.add(dst) {
-				out = append(out, dst)
-			}
-		}
-		return out, nil
+		rows.AddAll(cs.mids)
+		return nil
 	}
 
 	vjs := cs.preG.DstsOf(vi)
 	if len(vjs) == 0 {
-		return out, nil
+		return nil
 	}
 	if err := s.worker.checkpoint(len(vjs)); err != nil {
-		return out, err
+		return err
 	}
 	s.stats.Rows += int64(len(vjs))
 
@@ -443,7 +433,7 @@ func (cs *clauseStream) appendDsts(s *ResultStream, vi graph.VID, out []graph.VI
 				}
 				members := cs.structure.Members(int32(sk))
 				if err := s.worker.checkpoint(len(members)); err != nil {
-					return out, err
+					return err
 				}
 				s.stats.Rows += int64(len(members))
 				cs.mids = append(cs.mids, members...)
@@ -453,11 +443,11 @@ func (cs *clauseStream) appendDsts(s *ResultStream, vi graph.VID, out []graph.VI
 		// Full-closure enumeration dedups the frontier itself (the
 		// redundant-1/-2 checks); seen8 plays EvalBatchUnitFull's seenV.
 		// The Star seeds above may duplicate frontier members, but the
-		// cross-clause stamp dedups the emitted run regardless.
+		// row kernel dedups the emitted run regardless.
 		for _, vj := range vjs {
 			from := cs.closure.From(vj)
 			if err := s.worker.checkpoint(len(from)); err != nil {
-				return out, err
+				return err
 			}
 			s.stats.Rows += int64(len(from))
 			for _, vk := range from {
@@ -469,35 +459,20 @@ func (cs *clauseStream) appendDsts(s *ResultStream, vi graph.VID, out []graph.VI
 	}
 
 	// Post extension: joinPost's per-vi slice, with the same per-clause
-	// ReachFrom memo (spans into the pooled flat buffer).
+	// ReachFrom memo.
 	if cs.postIsEps {
-		for _, vk := range cs.mids {
-			if seen.add(vk) {
-				out = append(out, vk)
-			}
-		}
-		return out, nil
+		rows.AddAll(cs.mids)
+		return nil
 	}
 	for _, vk := range cs.mids {
 		if err := s.worker.checkpoint(1); err != nil {
-			return out, err
+			return err
 		}
-		span, ok := cs.sc.endSpans[vk]
-		if !ok {
-			span.start = int32(len(cs.sc.endsBuf))
-			cs.sc.endsBuf = cs.postEv.AppendReachFrom(vk, cs.sc.endsBuf)
-			span.end = int32(len(cs.sc.endsBuf))
-			cs.sc.endSpans[vk] = span
-		}
-		ends := cs.sc.endsBuf[span.start:span.end]
+		ends := cs.sc.post.ends(cs.postEv, vk)
 		s.stats.Rows += int64(len(ends))
-		for _, vl := range ends {
-			if seen.add(vl) {
-				out = append(out, vl)
-			}
-		}
+		rows.AddAll(ends)
 	}
-	return out, nil
+	return nil
 }
 
 // Close releases the stream's pooled resources and folds the worker's
